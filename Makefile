@@ -2,7 +2,7 @@ GO ?= go
 BENCH_JSON ?= BENCH_9.json
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json chaos cluster cover examples test-fast ci
+.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json chaos cluster fuzz cover examples test-fast ci
 
 build:
 	$(GO) build ./...
@@ -123,6 +123,17 @@ cluster:
 	$(GO) test -race -timeout 10m ./internal/cluster/ ./internal/provenance/
 	$(GO) test -race -timeout 10m -run 'TestCluster|TestChaosCluster|TestMetrics|TestArtifact' ./internal/service/
 	$(GO) test -race -timeout 10m -run 'TestRedirect' ./client/
+
+# Coverage-guided fuzzing, each stdlib fuzz target for a fixed 30 s
+# (go test accepts one -fuzz target per run): the binary query-body
+# parser (the server's first contact with a binary request) and the
+# fast dot kernels against the reference chain. Each target starts
+# from its f.Add seeds plus any committed corpus under
+# testdata/fuzz/<target>; a failure writes the crashing input there,
+# ready to commit as a regression seed. CI runs it as its own job.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseF64Rows$$' -fuzztime 30s ./api/
+	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime 30s ./internal/tensor/
 
 # Builds and RUNS every example end to end (each takes a second or two;
 # the campaign example boots the HTTP service and drives it through the

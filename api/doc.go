@@ -1,7 +1,8 @@
 // Package api is the versioned public wire protocol of the xbarsec
 // attack-campaign service: every request and response body exchanged
 // with an xbarserve instance is one of the typed structs in this
-// package, every error response is the uniform Error envelope, and the
+// package (or, for the two query endpoints, the binary body of f64.go),
+// every error response is the uniform Error envelope, and the
 // protocol version is negotiated through GET /v2/version. The package
 // has no dependencies beyond the standard library, so any Go client —
 // the bundled client SDK (xbarsec/client), the CLI's remote paths, or
@@ -16,7 +17,9 @@
 //	GET    /v2/sessions/{id}           Session
 //	DELETE /v2/sessions/{id}           SessionClosed
 //	POST   /v2/sessions/{id}/query     QueryRequest        -> QueryResponse
+//	                                   (or a one-row binary body, v2.3)
 //	POST   /v2/sessions/{id}/queries   QueryBatchRequest   -> QueryBatchResponse
+//	                                   (or a binary body, v2.3)
 //	POST   /v2/campaigns               CampaignRequest     -> CampaignResult
 //	POST   /v2/extract                 ExtractRequest      -> ExtractResult
 //	GET    /v2/experiments             []ExperimentInfo
@@ -28,6 +31,40 @@
 //	GET    /v2/artifacts/{id}          Artifact
 //	GET    /v2/artifacts/{id}/proof    ArtifactProof
 //	GET    /v2/metrics                 Prometheus text exposition
+//
+// # Binary query bodies (v2.3)
+//
+// The two query endpoints also accept their input rows as raw float64,
+// selected by Content-Type: MediaTypeF64 ("application/x-xbarsec-f64").
+// The body is
+//
+//	[u32 LE rows][u32 LE cols][rows·cols float64, IEEE-754 LE, row-major]
+//
+// AppendF64Rows encodes it and ParseF64Rows validates it. A server
+// rejects a binary body with a bad_request envelope, before any budget
+// is reserved, unless it is read whole within the request size cap,
+// its length is exactly 8 + rows·cols·8 bytes, 1 ≤ rows ≤ the batch
+// limit (exactly 1 on /query), cols equals the victim's input width
+// (all checked before the rows are allocated), and every value is
+// finite.
+// JSON cannot carry NaN or ±Inf either, so both encodings accept the
+// same inputs, and the response — always JSON — is byte-identical for
+// both. Any other Content-Type, or none, is the JSON body as before.
+// Responses, error envelopes and every other endpoint stay JSON.
+//
+// The client SDK sends binary only to a node whose own /v2/version it
+// has seen report v2.3 or later: the client's base URL, after the
+// handshake, so the first query on a fresh client already uses it. It
+// sends JSON whenever binary cannot carry the call faithfully — an
+// empty batch, empty or ragged rows, non-finite values — and to any
+// node it has not handshaken with: WithoutVersionCheck, or a session
+// pinned to another cluster node. A server never redirects a session
+// query (the session is node-local; an unknown id is session_unknown),
+// so no other node receives a binary body. A malformed batch draws the
+// same error code, bad_request, from both encodings, but the message
+// differs: a binary body that breaks a header rule (too many rows, the
+// wrong row width) is a "malformed request body" naming that rule,
+// where JSON names the batch limit or the offending input.
 //
 // # Versioning policy
 //
@@ -60,6 +97,9 @@
 // Error.RedirectTo) tells a client which node owns the key it asked the
 // wrong node for. All additive — a single-node server never redirects,
 // and v2.1 clients may ignore every new endpoint.
+//
+// v2.3 adds the binary query body above. Additive: JSON bodies behave
+// exactly as in v2.2, and a v2.2 client never sends binary.
 //
 // # Errors
 //

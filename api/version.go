@@ -36,7 +36,15 @@ const (
 	// the GET /v2/metrics text endpoint, and the cluster/provenance
 	// gauges in Stats. All additive: single-node servers never emit a
 	// redirect, and v2.1 clients may ignore every new field.
-	Minor = 2
+	//
+	// Minor 3 adds the binary query body (MediaTypeF64, f64.go): the
+	// two session query endpoints also accept their input rows as raw
+	// little-endian float64, selected by the request's Content-Type,
+	// and answer them with the same JSON bytes a JSON body draws. All
+	// additive: a JSON body (or no Content-Type) behaves exactly as in
+	// v2.2, and the SDK sends binary only to a server it has seen
+	// report v2.3 or later.
+	Minor = 3
 )
 
 // VersionString renders the package's protocol version, e.g. "v2.0".

@@ -155,6 +155,20 @@ func (c *Client) ensureCompatible(ctx context.Context) error {
 	return nil
 }
 
+// f64Minor is the first protocol minor whose servers accept the binary
+// query body (api.MediaTypeF64).
+const f64Minor = 3
+
+// baseSpeaksF64 reports whether the handshake saw the client's own base
+// report a protocol minor that accepts binary query bodies. c.version
+// is set only by a successful handshake, so without one
+// (WithoutVersionCheck, or a refused server) the answer is no.
+func (c *Client) baseSpeaksF64() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.version.Minor >= f64Minor
+}
+
 // call is the checked request path every endpoint method uses: version
 // handshake, then one JSON round trip — retried under the client's
 // retry policy when one is configured (WithRetry), with cluster
@@ -208,13 +222,23 @@ func redirectTarget(err error) string {
 	return strings.TrimRight(ae.RedirectTo, "/")
 }
 
-// do performs one JSON round trip. Non-2xx responses decode into the
+// f64Body is a query request already encoded as a binary body
+// (api.MediaTypeF64).
+type f64Body []byte
+
+// do performs one round trip: a JSON request body (or a pre-encoded
+// f64Body), a JSON response. Non-2xx responses decode into the
 // protocol's *api.Error envelope (synthesizing one with code "internal"
 // when the body is not an envelope, e.g. a plain-text 404 from the
 // mux), so every error this package returns carries a code.
 func (c *Client) do(ctx context.Context, base, method, path string, in, out any) error {
 	var body io.Reader
-	if in != nil {
+	contentType := "application/json"
+	switch in := in.(type) {
+	case nil:
+	case f64Body:
+		body, contentType = bytes.NewReader(in), api.MediaTypeF64
+	default:
 		data, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("client: encoding %s %s request: %w", method, path, err)
@@ -226,7 +250,7 @@ func (c *Client) do(ctx context.Context, base, method, path string, in, out any)
 		return fmt.Errorf("client: building %s %s: %w", method, path, err)
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

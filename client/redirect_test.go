@@ -136,7 +136,8 @@ func TestRedirectMalformedTargetNotFollowed(t *testing.T) {
 // TestRedirectSessionPinned pins the handle contract: a session opened
 // through a redirect sends every subsequent call to the node that
 // opened it — session state is node-local, queries must not wander back
-// to the client's base.
+// to the client's base. The handshake saw only the base's version, so
+// the pinned queries go as JSON even though the base speaks v2.3.
 func TestRedirectSessionPinned(t *testing.T) {
 	var ownerOpens, ownerQueries atomic.Int64
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,6 +146,10 @@ func TestRedirectSessionPinned(t *testing.T) {
 			ownerOpens.Add(1)
 			_ = json.NewEncoder(w).Encode(api.Session{ID: "s-1", Victim: "toy", Remaining: 3})
 		case api.PathPrefix + "/sessions/s-1/query":
+			if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+				http.Error(w, "pinned query sent as "+ct, http.StatusUnsupportedMediaType)
+				return
+			}
 			ownerQueries.Add(1)
 			_ = json.NewEncoder(w).Encode(api.QueryResponse{Label: 7, Queries: 1, Remaining: 2})
 		default:
@@ -158,7 +163,7 @@ func TestRedirectSessionPinned(t *testing.T) {
 	wrong := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case api.PathPrefix + "/version":
-			versionOK(w)
+			versionCurrent(w)
 		case api.PathPrefix + "/sessions":
 			opened = true
 			redirectTo(w, owner.URL)

@@ -62,7 +62,7 @@ func (s *Session) Refresh(ctx context.Context) (api.Session, error) {
 // iff a response is delivered.
 func (s *Session) Query(ctx context.Context, input []float64) (api.QueryResponse, error) {
 	var out api.QueryResponse
-	_, err := s.c.callBase(ctx, s.base, http.MethodPost, api.PathPrefix+"/sessions/"+s.info.ID+"/query", api.QueryRequest{Input: input}, &out)
+	err := s.query(ctx, "/query", [][]float64{input}, api.QueryRequest{Input: input}, &out)
 	return out, err
 }
 
@@ -76,8 +76,32 @@ func (s *Session) Query(ctx context.Context, input []float64) (api.QueryResponse
 // latency.
 func (s *Session) QueryBatch(ctx context.Context, inputs [][]float64) (api.QueryBatchResponse, error) {
 	var out api.QueryBatchResponse
-	_, err := s.c.callBase(ctx, s.base, http.MethodPost, api.PathPrefix+"/sessions/"+s.info.ID+"/queries", api.QueryBatchRequest{Inputs: inputs}, &out)
+	err := s.query(ctx, "/queries", inputs, api.QueryBatchRequest{Inputs: inputs}, &out)
 	return out, err
+}
+
+// query posts rows to one of the session's query endpoints. After the
+// version handshake it sends the binary body (api.MediaTypeF64) when
+// the session lives on the client's own base and that base reported
+// protocol v2.3 or later; otherwise, or when the rows are empty,
+// ragged or not finite, it sends req as JSON. The binary body is a
+// transport choice only: the server answers both with the same bytes
+// on success, and with the same error code (bad_request) on a
+// malformed batch. A server never redirects a session query (it looks
+// the session up locally and answers session_unknown), so a binary
+// body only reaches the node whose version the handshake saw.
+func (s *Session) query(ctx context.Context, endpoint string, rows [][]float64, req, out any) error {
+	if err := s.c.ensureCompatible(ctx); err != nil {
+		return err
+	}
+	in := req
+	if s.base == s.c.base && s.c.baseSpeaksF64() {
+		if data, err := api.AppendF64Rows(nil, rows); err == nil {
+			in = f64Body(data)
+		}
+	}
+	_, err := s.c.callBase(ctx, s.base, http.MethodPost, api.PathPrefix+"/sessions/"+s.info.ID+endpoint, in, out)
+	return err
 }
 
 // Close closes the session; its remaining budget is forfeited.

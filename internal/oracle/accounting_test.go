@@ -277,3 +277,37 @@ func TestCollectBudgetExhaustedMidCollection(t *testing.T) {
 		t.Fatalf("boundary collect: len=%d queries=%d remaining=%d", qs.Len(), o.Queries(), o.Remaining())
 	}
 }
+
+// TestNonFiniteResponseRefused pins the overflow edge of the accounting
+// contract: inputs near the float64 limit overflow the disclosed
+// observables to ±Inf, a response no encoding can deliver, so the query
+// fails with ErrNonFinite and is not charged, singly and batched. A
+// label-only session without power discloses only the label, so it
+// still answers (and charges) the same input.
+func TestNonFiniteResponseRefused(t *testing.T) {
+	o, _, ds := buildOracle(t, 23, LabelOnly, false)
+	huge := make([]float64, o.Inputs())
+	for i := range huge {
+		huge[i] = 1.7e308
+	}
+	ok, _ := ds.Sample(0)
+	for _, cfg := range []Config{{Mode: RawOutput}, {Mode: LabelOnly, MeasurePower: true}} {
+		cfg.Budget = 5
+		orc, err := New(o.hw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := orc.Query(huge); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%v: query err = %v, want ErrNonFinite", cfg.Mode, err)
+		}
+		if _, err := orc.QueryBatch([][]float64{ok, huge}); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%v: batch err = %v, want ErrNonFinite", cfg.Mode, err)
+		}
+		if q := orc.Queries(); q != 0 {
+			t.Fatalf("%v: undeliverable responses charged %d queries", cfg.Mode, q)
+		}
+	}
+	if _, err := o.Query(huge); err != nil || o.Queries() != 1 {
+		t.Fatalf("label-only query err = %v, queries = %d; want answered and charged", err, o.Queries())
+	}
+}

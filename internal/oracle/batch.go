@@ -63,10 +63,11 @@ func (o *Oracle) releaseN(n int) { o.queries.Add(-int64(n)) }
 // admitted query; when any query was refused, err wraps
 // ErrBudgetExhausted (so resps and err can both be non-nil).
 //
-// If the batched hardware read itself fails, every reservation is
-// rolled back and no query is charged: the batch is all-or-nothing at
-// the hardware level, the batched form of the accounting contract that
-// a query is charged iff it delivers a response.
+// If the batched hardware read itself fails, or any admitted response
+// is not finite (ErrNonFinite), every reservation is rolled back and no
+// query is charged: the batch is all-or-nothing at the hardware level,
+// the batched form of the accounting contract that a query is charged
+// iff it delivers a response.
 func (o *Oracle) QueryBatch(us [][]float64) ([]Response, error) {
 	if len(us) == 0 {
 		return nil, nil
@@ -153,6 +154,9 @@ func (o *Oracle) executeBatch(us [][]float64) ([]Response, error) {
 		resps[i].Label = tensor.ArgMax(ys[i])
 		if o.mode == RawOutput {
 			resps[i].Raw = tensor.CloneVec(ys[i])
+		}
+		if !deliverable(resps[i]) {
+			return nil, fmt.Errorf("oracle: batch query %d: %w", i, ErrNonFinite)
 		}
 	}
 	return resps, nil

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -124,6 +125,13 @@ type Response struct {
 // ErrBudgetExhausted indicates the oracle's query budget has been spent;
 // further queries are refused until ResetQueries.
 var ErrBudgetExhausted = errors.New("oracle: query budget exhausted")
+
+// ErrNonFinite indicates a query whose response would carry a
+// non-finite raw output or power reading — an overflow (inputs near
+// the float64 limit, say) that no response encoding can deliver. The
+// oracle treats it as a hardware error: the query is refused and not
+// charged.
+var ErrNonFinite = errors.New("oracle: response not finite")
 
 // Oracle wraps a crossbar-hosted network behind a query-counting
 // interface. It is safe for concurrent use: the query counter is atomic
@@ -242,7 +250,8 @@ func (o *Oracle) release() { o.queries.Add(-1) }
 // Accounting contract: a query is charged if and only if it delivers a
 // Response. The budget slot is reserved atomically up front and rolled
 // back on any hardware error — including a power-read failure after a
-// successful forward pass — so Queries()/Remaining() always agree with
+// successful forward pass, and a response that is not finite
+// (ErrNonFinite) — so Queries()/Remaining() always agree with
 // the number of responses the attacker actually received, serially and
 // under concurrency alike.
 //
@@ -299,7 +308,17 @@ func (o *Oracle) execute(u []float64) (Response, error) {
 		vdd := xb.Config().Vdd
 		resp.Power = p / (vdd * vdd * xb.Scale())
 	}
+	if !deliverable(resp) {
+		return Response{}, ErrNonFinite
+	}
 	return resp, nil
+}
+
+// deliverable reports whether every field resp would deliver is finite:
+// Raw is nil in LabelOnly mode and Power is 0 when unmeasured, so only
+// the observables the session discloses are checked.
+func deliverable(resp Response) bool {
+	return tensor.AllFinite(resp.Raw) && !math.IsInf(resp.Power, 0) && !math.IsNaN(resp.Power)
 }
 
 // QuerySet holds the attacker's accumulated query data, ready for

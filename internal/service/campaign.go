@@ -365,6 +365,12 @@ func (s *Service) runExtract(spec ExtractSpec, v *Victim) (*ExtractResult, error
 	}
 	xb := v.hw.Crossbar()
 	norms := sidechannel.CalibrateColumnNorms(signals, xb.Config(), v.Outputs(), xb.Scale())
+	// A probe noise near the float64 limit overflows the readings: such
+	// a result cannot be encoded, so it fails typed (and uncached)
+	// instead of reaching the artifact cache.
+	if !tensor.AllFinite(signals) || !tensor.AllFinite(norms) {
+		return nil, badRequestf("service: extraction with probe noise %g produced non-finite signals", spec.NoiseStd)
+	}
 	return &ExtractResult{
 		Victim:       v.name,
 		Repeats:      spec.Repeats,

@@ -451,11 +451,21 @@ func (s *Service) runJob(job *ExperimentJob) {
 		job.mu.Lock()
 		job.result, job.err = res, err
 		job.mu.Unlock()
-		close(job.done)
 		if err != nil {
+			// A failure is counted and journaled before Done fires, so a
+			// poller sees it in failed_jobs and a restart right after
+			// restores it failed instead of relaunching it into the same
+			// fault.
 			s.failedJobs.Add(1)
+			s.journalFinish(job.id, err)
+			close(job.done)
+			return
 		}
-		s.journalFinish(job.id, err)
+		// A success is released first: losing its done record in a crash
+		// costs only a recompute (or a spill hit) on restart, so waiters
+		// do not wait on the journal append.
+		close(job.done)
+		s.journalFinish(job.id, nil)
 	}()
 }
 

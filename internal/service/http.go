@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
@@ -30,8 +33,9 @@ import (
 //	POST   /v2/sessions                open an attacker session
 //	GET    /v2/sessions/{id}           session accounting
 //	DELETE /v2/sessions/{id}           close a session
-//	POST   /v2/sessions/{id}/query     one oracle query
+//	POST   /v2/sessions/{id}/query     one oracle query (JSON or binary body)
 //	POST   /v2/sessions/{id}/queries   a batched slice of oracle queries
+//	                                   (JSON or binary body)
 //	POST   /v2/campaigns               run (or fetch cached) campaign job
 //	POST   /v2/extract                 run (or fetch cached) extraction job
 //	GET    /v2/experiments             registered experiments with axes
@@ -73,10 +77,23 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON marshals v before committing the status, so a value JSON
+// cannot carry (a non-finite float, say) becomes a typed internal
+// envelope instead of a 200 with an empty body. The trailing newline
+// keeps the bytes json.Encoder wrote.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		status = api.CodeInternal.HTTPStatus()
+		data, _ = json.Marshal(&api.Error{
+			Code:    api.CodeInternal,
+			Message: "encoding response",
+			Detail:  err.Error(),
+		})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(data, '\n'))
 }
 
 // errorCode maps a service error onto its protocol code — the one
@@ -106,7 +123,7 @@ func errorCode(err error) api.ErrorCode {
 		return api.CodeServiceClosed
 	case errors.Is(err, ErrVictimClosed):
 		return api.CodeVictimClosed
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, oracle.ErrNonFinite):
 		return api.CodeBadRequest
 	default:
 		return api.CodeInternal
@@ -188,6 +205,47 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 		}
 	}
 	return nil
+}
+
+// isF64Body reports whether a request's Content-Type names the binary
+// query body; anything else, including no Content-Type, is JSON.
+func isF64Body(r *http.Request) bool {
+	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	return err == nil && mt == api.MediaTypeF64
+}
+
+// decodeF64Rows reads a binary query body through the same size cap as
+// JSON bodies and parses it into 1..maxRows rows of exactly cols finite
+// values, sharing one slab. The buffer grows only with the bytes that
+// arrive, never from a declared length (Content-Length or the body's
+// header), so a client that declares a large body and sends little
+// pins little memory. It stores at most one byte more than the largest
+// body the endpoint accepts; the rest of a longer body is drained
+// unstored, so the typed reply still reaches the client on a clean
+// connection. Failures are bad_request envelopes, raised before any
+// budget is reserved.
+func decodeF64Rows(w http.ResponseWriter, r *http.Request, cols, maxRows int) ([][]float64, error) {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	limit := 8 + 8*int64(maxRows)*int64(cols) // [rows][cols] header + values
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(io.LimitReader(body, limit+1))
+	if err == nil && int64(buf.Len()) > limit {
+		// No valid body is this long, so the parser rejects what is
+		// stored, naming the broken rule.
+		_, err = io.Copy(io.Discard, body)
+	}
+	var rows [][]float64
+	if err == nil {
+		rows, err = api.ParseF64Rows(buf.Bytes(), cols, maxRows)
+	}
+	if err != nil {
+		return nil, &api.Error{
+			Code:    api.CodeBadRequest,
+			Message: "malformed request body",
+			Detail:  err.Error(),
+		}
+	}
+	return rows, nil
 }
 
 // RegistryHash digests the experiment registry: sha256 over the sorted
@@ -279,16 +337,29 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var req api.QueryRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	var input []float64
+	if isF64Body(r) {
+		rows, err := decodeF64Rows(w, r, sess.victim.Inputs(), 1)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		input = rows[0]
+	} else {
+		var req api.QueryRequest
+		if err := decodeJSON(w, r, &req); err != nil {
+			writeError(w, err)
+			return
+		}
+		input = req.Input
+	}
+	// decodeF64Rows already held a binary body to the victim's width, so
+	// this check can fail only for a JSON body.
+	if len(input) != sess.victim.Inputs() {
+		writeError(w, badRequestf("input length %d, want %d", len(input), sess.victim.Inputs()))
 		return
 	}
-	if len(req.Input) != sess.victim.Inputs() {
-		writeError(w, badRequestf("input length %d, want %d", len(req.Input), sess.victim.Inputs()))
-		return
-	}
-	resp, err := sess.Query(req.Input)
+	resp, err := sess.Query(input)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -313,28 +384,40 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var req api.QueryBatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
-		return
+	var inputs [][]float64
+	if isF64Body(r) {
+		if inputs, err = decodeF64Rows(w, r, sess.victim.Inputs(), maxQueryBatch); err != nil {
+			writeError(w, err)
+			return
+		}
+	} else {
+		var req api.QueryBatchRequest
+		if err := decodeJSON(w, r, &req); err != nil {
+			writeError(w, err)
+			return
+		}
+		inputs = req.Inputs
 	}
-	if len(req.Inputs) == 0 {
+	// decodeF64Rows already held a binary body to 1..maxQueryBatch rows
+	// of the victim's width, so these checks can fail only for a JSON
+	// body; a binary body breaking them drew its own bad_request there.
+	if len(inputs) == 0 {
 		writeError(w, badRequestf("empty query batch"))
 		return
 	}
-	if len(req.Inputs) > maxQueryBatch {
-		writeError(w, badRequestf("batch of %d queries exceeds the limit %d", len(req.Inputs), maxQueryBatch))
+	if len(inputs) > maxQueryBatch {
+		writeError(w, badRequestf("batch of %d queries exceeds the limit %d", len(inputs), maxQueryBatch))
 		return
 	}
 	// Validate every input before any budget charge: a malformed batch is
 	// rejected whole, exactly like a malformed single query.
-	for i, u := range req.Inputs {
+	for i, u := range inputs {
 		if len(u) != sess.victim.Inputs() {
 			writeError(w, badRequestf("input %d length %d, want %d", i, len(u), sess.victim.Inputs()))
 			return
 		}
 	}
-	resps, err := sess.QueryBatch(req.Inputs)
+	resps, err := sess.QueryBatch(inputs)
 	if err != nil && !errors.Is(err, oracle.ErrBudgetExhausted) {
 		writeError(w, err)
 		return
@@ -346,11 +429,11 @@ func (s *Service) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := api.QueryBatchResponse{
-		Results:   make([]api.QueryOutcome, len(req.Inputs)),
+		Results:   make([]api.QueryOutcome, len(inputs)),
 		Queries:   sess.Queries(),
 		Remaining: sess.Remaining(),
 	}
-	for i := range req.Inputs {
+	for i := range inputs {
 		if i < len(resps) {
 			out.Results[i] = api.QueryOutcome{
 				Label: resps[i].Label,

@@ -199,6 +199,16 @@ func AbsVec(a []float64) []float64 {
 	return out
 }
 
+// AllFinite reports whether a holds no NaN or ±Inf.
+func AllFinite(a []float64) bool {
+	for _, v := range a {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // Sum returns Σ a_i.
 func Sum(a []float64) float64 {
 	var s float64
