@@ -66,8 +66,7 @@ goldens:
 # today: regenerates in place and fails on any diff. Part of `make
 # lint`, so CI rejects a golden edited by hand or left stale after a
 # runner change.
-goldens-check:
-	$(GO) test ./internal/experiment/ -run TestGoldenBitIdentity -update-goldens -count=1
+goldens-check: goldens
 	git diff --exit-code -- internal/experiment/testdata/golden
 
 fmt:
@@ -104,35 +103,39 @@ bench-json:
 # Fault-injection chaos suite under the race detector: the WAL and
 # fault-injection packages in full, the spill store, the service
 # durability tests (kill-and-restart bit-identity, torn journal tail,
-# corrupt spill quarantine, journal-full refusal, panicking job), and
-# the SDK retry taxonomy/WaitJob-through-503 tests. Everything here
-# exercises crash paths the plain suite only touches incidentally; CI
-# runs it as its own job.
+# corrupt spill quarantine, spill files from another build, journal-full
+# refusal, panicking job), and the SDK retry taxonomy/WaitJob-through-503
+# tests. Everything here exercises crash paths the plain suite only
+# touches incidentally; CI runs it as its own job.
 chaos:
 	$(GO) test -race -timeout 10m ./internal/wal/ ./internal/faultinject/ ./internal/memo/
 	$(GO) test -race -timeout 10m -run 'TestChaos' ./internal/service/
 	$(GO) test -race -timeout 10m -run 'TestRetry|TestWaitJob|TestBackoff' ./client/
 
-# Multi-node suite under the race detector: the ring and provenance
-# packages in full, the two-in-process-node service tests (redirect
-# end-to-end bit-identity, session pinning, peer fetch with Merkle
-# verification, metrics) including the chaos variant that kills the
-# owning node mid-job, and the SDK redirect-following tests. CI runs it
-# as its own job.
+# Multi-node suite under the race detector: the ring package in full,
+# the two-in-process-node service tests (redirect end-to-end
+# bit-identity, session pinning, peer fetch with Merkle verification,
+# metrics) including the chaos variant that kills the owning node
+# mid-job, and the SDK redirect-following tests. CI runs it as its own
+# job.
 cluster:
-	$(GO) test -race -timeout 10m ./internal/cluster/ ./internal/provenance/
+	$(GO) test -race -timeout 10m ./internal/cluster/
 	$(GO) test -race -timeout 10m -run 'TestCluster|TestChaosCluster|TestMetrics|TestArtifact' ./internal/service/
 	$(GO) test -race -timeout 10m -run 'TestRedirect' ./client/
 
 # Coverage-guided fuzzing, each stdlib fuzz target for a fixed 30 s
 # (go test accepts one -fuzz target per run): the binary query-body
-# parser (the server's first contact with a binary request) and the
-# fast dot kernels against the reference chain. Each target starts
-# from its f.Add seeds plus any committed corpus under
-# testdata/fuzz/<target>; a failure writes the crashing input there,
-# ready to commit as a regression seed. CI runs it as its own job.
+# parser (the server's first contact with a binary request), the spill
+# file read and its record check, and the fast dot kernels against the
+# reference chain. Each target starts from its f.Add seeds plus any
+# committed corpus under testdata/fuzz/<target>; a failure writes the
+# crashing input there, ready to commit as a regression seed. CI runs it
+# as its own job. FuzzSpillRecord does real file I/O per run, so its
+# minimization of each new input is capped at 10 runs; uncapped, the
+# first few new inputs would use up the whole 30 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseF64Rows$$' -fuzztime 30s ./api/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpillRecord$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/memo/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime 30s ./internal/tensor/
 
 # Builds and RUNS every example end to end (each takes a second or two;

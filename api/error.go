@@ -59,8 +59,9 @@ const (
 	// owner (bounded hops) and surfaces only the owner's answer. Never
 	// retried in place: the same node keeps not owning the key.
 	CodeNodeRedirect ErrorCode = "node_redirect"
-	// CodeUnknownArtifact: no spilled artifact (or no provenance record)
-	// exists at the requested content address on this node.
+	// CodeUnknownArtifact: no spilled artifact whose provenance record
+	// checks out for this node's code exists at the requested content
+	// address on this node.
 	CodeUnknownArtifact ErrorCode = "unknown_artifact"
 )
 

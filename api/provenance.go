@@ -10,10 +10,12 @@ import (
 // The artifact provenance chain (additive in v2.2).
 //
 // Every artifact a server spills is a pure function of its spec (the
-// server-side cache key) and the code that computed it (the experiment
-// registry digest plus the tensor backend). The server records that
-// lineage as a three-link Merkle chain of domain-separated sha256
-// hashes:
+// server-side cache key) and the code that computed it. The code
+// identity is "goldens:<digest>|tensor:<backend>": a sha256 over the
+// server's committed golden experiment renders, which its build keeps
+// in step with the numerics, plus the tensor backend it computes with.
+// The server records that lineage as a three-link Merkle chain of
+// domain-separated sha256 hashes:
 //
 //	spec_hash   = H("xbarsec/spec"   || spec_key)
 //	code_hash   = H("xbarsec/code"   || code)
@@ -24,10 +26,11 @@ import (
 // proof carries the leaf preimages (spec_key, code) together with the
 // hashes, so any holder of the payload re-derives every link with
 // nothing but sha256 — no server trust, no recomputation of the
-// experiment. A node offered a peer's artifact verifies the chain
-// against the spec key and code identity it would have used itself; a
-// client fetching GET /v2/artifacts/{id} + /proof does the same with
-// ArtifactProof.Verify.
+// experiment. The server stores each proof in the same file as its
+// payload and serves an artifact — from disk, over GET
+// /v2/artifacts/{id} + /proof, or to a peer — only when the chain
+// verifies for the requested id and its own code identity; a client
+// does the same with ArtifactProof.Verify.
 
 // Hash-domain prefixes of the provenance chain. Domain separation
 // keeps a spec key that happens to equal a payload from colliding
@@ -59,8 +62,8 @@ type ArtifactProof struct {
 	// SpecKey is the server-side cache key the artifact was computed
 	// for — the spec-link preimage.
 	SpecKey string `json:"spec_key"`
-	// Code identifies the code that computed the artifact (experiment
-	// registry digest + tensor backend) — the code-link preimage.
+	// Code identifies the code that computed the artifact (golden
+	// renders digest + tensor backend) — the code-link preimage.
 	Code string `json:"code"`
 	// SpecHash, CodeHash and ResultHash are the chain links; Root binds
 	// them. All lowercase hex sha256.

@@ -365,8 +365,9 @@ type Stats struct {
 	ReplayedJobs int64 `json:"replayed_jobs"`
 	// SpilledArtifacts / SpilledArtifactBytes describe the on-disk spill
 	// store behind the in-memory cache (0 when the server runs without a
-	// data directory); SpillHits counts artifacts served from disk
-	// instead of recomputed.
+	// data directory): one file per artifact, and the bytes those files
+	// take on disk, provenance records included. SpillHits counts
+	// artifacts served from disk instead of recomputed.
 	SpilledArtifacts     int64 `json:"spilled_artifacts"`
 	SpilledArtifactBytes int64 `json:"spilled_artifact_bytes"`
 	SpillHits            int64 `json:"spill_hits"`
@@ -399,8 +400,9 @@ type Stats struct {
 	PeerFetches       int64 `json:"peer_fetches,omitempty"`
 	PeerFetchVerified int64 `json:"peer_fetch_verified,omitempty"`
 	PeerFetchRejected int64 `json:"peer_fetch_rejected,omitempty"`
-	// ProvenanceRecords counts Merkle provenance records stored alongside
-	// spilled artifacts (additive in v2.2; 0 without a data directory).
+	// ProvenanceRecords counts Merkle provenance records on disk
+	// (additive in v2.2; 0 without a data directory). Each record lives
+	// inside its artifact's spill file, so it equals SpilledArtifacts.
 	ProvenanceRecords int64 `json:"provenance_records,omitempty"`
 }
 

@@ -3,7 +3,9 @@
 // the experiment engine's victim store. Both memoize values that are
 // pure functions of a string key, so the first computation's result is
 // every caller's result and concurrent identical requests must collapse
-// onto a single computation instead of duplicating work.
+// onto a single computation instead of duplicating work. Its disk tier,
+// SpillStore, keeps each artifact in one file together with the
+// provenance record that proves it.
 package memo
 
 import (

@@ -2,7 +2,8 @@ package memo
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xbarsec/api"
 	"xbarsec/internal/wal"
 )
 
@@ -22,16 +24,19 @@ import (
 // are served on later misses, so a process restart goes warm instead of
 // recomputing hours of campaign work.
 //
-// Addressing: each artifact is one file named hex(sha256(key)) — keys
-// are the same deterministic spec keys the cache uses, so the same spec
-// always maps to the same file across restarts. Integrity: the file
-// embeds the sha256 of its payload; Get verifies it before serving, and
-// a mismatch (bit rot, a torn write that survived rename — anything)
-// quarantines the file rather than serving a wrong artifact. Writes are
-// tmp+rename atomic, so a crash mid-Put leaves either the previous
-// content or nothing, never a half-written artifact at the live name.
+// Addressing: each artifact is one file named api.ArtifactID(key) —
+// keys are the same deterministic spec keys the cache uses, so the same
+// spec always maps to the same file across restarts. Integrity: the
+// file carries its own provenance record (api.ArtifactProof: spec hash
+// → code hash → result hash → root), and every read passes CheckRecord
+// against the address asked for and the caller's code identity before
+// serving. A file that fails — bit rot, a torn write that survived
+// rename, a layout from an older build, a record minted by other code —
+// is quarantined rather than served. Writes are tmp+fsync+rename
+// atomic, so a crash mid-Put leaves either the previous content or
+// nothing, never a half-written artifact at the live name.
 //
-// File layout: [32-byte sha256 of payload][payload].
+// File layout: [u32 LE record length][record JSON][payload].
 type SpillStore struct {
 	fsys wal.FS
 	dir  string
@@ -42,15 +47,15 @@ type SpillStore struct {
 	putMu sync.Mutex
 
 	artifacts atomic.Int64 // live artifact files
-	bytes     atomic.Int64 // their total payload bytes
+	bytes     atomic.Int64 // their total file bytes
 	hits      atomic.Int64
 	misses    atomic.Int64
 	puts      atomic.Int64
-	corrupt   atomic.Int64 // files quarantined by failed verification
+	corrupt   atomic.Int64 // files quarantined by a failed check
 }
 
 const (
-	spillHashSize   = sha256.Size
+	spillHeaderSize = 4
 	spillTmpSuffix  = ".tmp"
 	spillQuarSuffix = ".quarantine"
 )
@@ -58,12 +63,13 @@ const (
 // SpillStats is a snapshot of the store's counters for GET /v2/stats.
 type SpillStats struct {
 	// Artifacts and Bytes describe what is on disk now (preexisting
-	// files from earlier runs included).
+	// files from earlier runs included); Bytes counts whole files,
+	// records included.
 	Artifacts int64
 	Bytes     int64
 	// Hits, Misses, Puts and Corrupt count this process's activity:
-	// verified reloads, absent keys, artifacts written, and files
-	// quarantined by failed integrity checks.
+	// checked reloads, absent keys, artifacts written, and files
+	// quarantined by failed checks.
 	Hits, Misses, Puts, Corrupt int64
 }
 
@@ -98,32 +104,16 @@ func OpenSpill(fsys wal.FS, dir string) (*SpillStore, error) {
 			continue
 		}
 		s.artifacts.Add(1)
-		if n := info.Size() - spillHashSize; n > 0 {
-			s.bytes.Add(n)
-		}
+		s.bytes.Add(info.Size())
 	}
 	return s, nil
 }
 
-// path maps a cache key to its content-addressed file.
-func (s *SpillStore) path(key string) string {
-	return filepath.Join(s.dir, Addr(key))
-}
-
-// Addr returns the content address a key spills under: hex(sha256 of
-// the raw key), the file's basename. It is the artifact id of the
-// GET /v2/artifacts/{id} endpoints (api.ArtifactID computes the same
-// address from the wire side).
-func Addr(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
 // ValidAddr reports whether s is a well-formed content address: exactly
-// the 64 lowercase hex characters Addr produces. Callers serving
-// artifacts by client-supplied address must check it first — anything
-// else (path separators, "..", uppercase aliases) is rejected rather
-// than mapped to a file.
+// the 64 lowercase hex characters api.ArtifactID produces. Callers
+// serving artifacts by client-supplied address must check it first —
+// anything else (path separators, "..", uppercase aliases) is rejected
+// rather than mapped to a file.
 func ValidAddr(s string) bool {
 	if len(s) != 2*sha256.Size {
 		return false
@@ -137,35 +127,46 @@ func ValidAddr(s string) bool {
 	return true
 }
 
-// GetAddr reloads one artifact by content address instead of by key,
-// with the same verification and quarantine behavior as Get. It backs
-// the artifact-serving endpoints, where the requester knows only the
-// address. An invalid address is an error, never a path lookup.
-func (s *SpillStore) GetAddr(addr string) ([]byte, bool, error) {
-	if !ValidAddr(addr) {
-		return nil, false, fmt.Errorf("memo: invalid artifact address %q", addr)
+// CheckRecord is the one test an artifact's bytes pass before anything
+// serves them, whether they come from this store or from a peer: the
+// record's chain re-derives and binds the payload (ArtifactProof.Verify),
+// its id is the address the caller asked for, and its code is the
+// caller's code identity — so bytes proven for another spec, or
+// computed by a build with different numerics, are refused.
+func CheckRecord(rec *api.ArtifactProof, id, code string, payload []byte) error {
+	if rec.ID != id {
+		return fmt.Errorf("memo: record is for artifact %s, want %s", rec.ID, id)
 	}
-	return s.getPath(filepath.Join(s.dir, addr))
+	if rec.Code != code {
+		return fmt.Errorf("memo: record computed by %q, want %q", rec.Code, code)
+	}
+	return rec.Verify(payload)
 }
 
-// Put spills one artifact, atomically. A key already on disk is left
-// alone: keys are deterministic spec hashes, so the bytes would be
-// identical. Failure leaves no partial file at the live name.
-func (s *SpillStore) Put(key string, payload []byte) error {
+// Put spills one artifact with its provenance record under code,
+// atomically: one file, one fsync. A key already on disk is left alone:
+// keys are deterministic spec hashes, and a file from other code is
+// quarantined by the read that precedes every recompute. Failure leaves
+// no partial file at the live name.
+func (s *SpillStore) Put(key, code string, payload []byte) error {
 	s.putMu.Lock()
 	defer s.putMu.Unlock()
-	path := s.path(key)
+	path := filepath.Join(s.dir, api.ArtifactID(key))
 	if _, err := s.fsys.Stat(path); err == nil {
 		return nil
+	}
+	rec, err := json.Marshal(api.BuildProof(key, code, payload))
+	if err != nil {
+		return fmt.Errorf("memo: spill record: %w", err)
 	}
 	tmp := path + spillTmpSuffix
 	f, err := s.fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("memo: spill create: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	buf := make([]byte, 0, spillHashSize+len(payload))
-	buf = append(buf, sum[:]...)
+	buf := make([]byte, 0, spillHeaderSize+len(rec)+len(payload))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
+	buf = append(buf, rec...)
 	buf = append(buf, payload...)
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
@@ -187,58 +188,74 @@ func (s *SpillStore) Put(key string, payload []byte) error {
 	}
 	s.puts.Add(1)
 	s.artifacts.Add(1)
-	s.bytes.Add(int64(len(payload)))
+	s.bytes.Add(int64(len(buf)))
 	return nil
 }
 
-// Get reloads one artifact, verifying its embedded payload hash. A
-// missing key is (nil, false, nil). A file that fails verification —
-// truncated, bit-flipped, torn — is quarantined (renamed aside, kept
-// for inspection) and reported as a miss: the store never serves bytes
-// it cannot prove are the artifact that was written.
-func (s *SpillStore) Get(key string) ([]byte, bool, error) {
-	return s.getPath(s.path(key))
+// Get reloads the artifact spilled under key, for code; see GetAddr.
+func (s *SpillStore) Get(key, code string) ([]byte, api.ArtifactProof, bool, error) {
+	return s.GetAddr(api.ArtifactID(key), code)
 }
 
-// getPath is the shared read/verify/quarantine path behind Get and
-// GetAddr.
-func (s *SpillStore) getPath(path string) ([]byte, bool, error) {
+// GetAddr reloads one artifact and its record by content address,
+// accepting it only if CheckRecord passes for (addr, code). A missing
+// file is a miss (ok false, nil error). A file that fails — truncated,
+// bit-flipped, torn, undecodable, or proven for another address or
+// other code — is quarantined (renamed aside, kept for inspection) and
+// reported as a miss: the store never serves bytes it cannot prove are
+// what this code computes for this address. An invalid address is an
+// error, never a path lookup.
+func (s *SpillStore) GetAddr(addr, code string) ([]byte, api.ArtifactProof, bool, error) {
+	var none api.ArtifactProof
+	if !ValidAddr(addr) {
+		return nil, none, false, fmt.Errorf("memo: invalid artifact address %q", addr)
+	}
+	path := filepath.Join(s.dir, addr)
 	f, err := s.fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			s.misses.Add(1)
-			return nil, false, nil
+			return nil, none, false, nil
 		}
-		return nil, false, fmt.Errorf("memo: spill open: %w", err)
+		return nil, none, false, fmt.Errorf("memo: spill open: %w", err)
 	}
 	data, err := io.ReadAll(f)
 	f.Close()
 	if err != nil {
-		return nil, false, fmt.Errorf("memo: spill read: %w", err)
+		return nil, none, false, fmt.Errorf("memo: spill read: %w", err)
 	}
-	if len(data) < spillHashSize {
-		s.quarantine(path, int64(0))
-		return nil, false, nil
-	}
-	payload := data[spillHashSize:]
-	sum := sha256.Sum256(payload)
-	if string(sum[:]) != string(data[:spillHashSize]) {
-		s.quarantine(path, int64(len(payload)))
-		return nil, false, nil
+	rec, payload, ok := decodeSpill(data)
+	if !ok || CheckRecord(&rec, addr, code, payload) != nil {
+		s.quarantine(path, int64(len(data)))
+		return nil, none, false, nil
 	}
 	s.hits.Add(1)
-	return payload, true, nil
+	return payload, rec, true, nil
+}
+
+// decodeSpill splits a spill file into its record and payload; ok is
+// false when the layout does not parse.
+func decodeSpill(data []byte) (rec api.ArtifactProof, payload []byte, ok bool) {
+	if len(data) < spillHeaderSize {
+		return rec, nil, false
+	}
+	n := uint64(binary.LittleEndian.Uint32(data))
+	body := data[spillHeaderSize:]
+	if n > uint64(len(body)) || json.Unmarshal(body[:n], &rec) != nil {
+		return api.ArtifactProof{}, nil, false
+	}
+	return rec, body[n:], true
 }
 
 // quarantine moves a failed file aside and fixes the counters.
-func (s *SpillStore) quarantine(path string, payloadBytes int64) {
+func (s *SpillStore) quarantine(path string, fileBytes int64) {
 	s.corrupt.Add(1)
 	s.misses.Add(1)
 	s.artifacts.Add(-1)
-	s.bytes.Add(-payloadBytes)
+	s.bytes.Add(-fileBytes)
 	if err := s.fsys.Rename(path, path+spillQuarSuffix); err != nil {
 		// Renaming aside failed (crashed FS, permissions); removing is the
-		// fallback that still stops the corrupt bytes from being served.
+		// fallback that still stops the failed bytes from being served.
 		_ = s.fsys.Remove(path)
 	}
 }

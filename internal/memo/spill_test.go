@@ -12,31 +12,34 @@ import (
 	"testing"
 	"time"
 
+	"xbarsec/api"
+	"xbarsec/internal/faultinject"
 	"xbarsec/internal/memo"
 	"xbarsec/internal/wal"
 )
 
 func TestSpillPutGetRoundTrip(t *testing.T) {
-	s, err := memo.OpenSpill(wal.OSFS{}, filepath.Join(t.TempDir(), "spill"))
+	dir := filepath.Join(t.TempDir(), "spill")
+	s, err := memo.OpenSpill(wal.OSFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte("artifact"), 100)
-	if err := s.Put("experiment|fig3|1|0.5|8", payload); err != nil {
+	if err := s.Put("experiment|fig3|1|0.5|8", testCode, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.Get("experiment|fig3|1|0.5|8")
+	got, _, ok, err := s.Get("experiment|fig3|1|0.5|8", testCode)
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload mismatch after reload")
 	}
-	if _, ok, _ := s.Get("experiment|fig3|2|0.5|8"); ok {
+	if _, _, ok, _ := s.Get("experiment|fig3|2|0.5|8", testCode); ok {
 		t.Fatal("absent key reported present")
 	}
 	st := s.Stats()
-	if st.Artifacts != 1 || st.Bytes != int64(len(payload)) || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+	if st.Artifacts != 1 || st.Bytes != spillFileSize(t, dir, "experiment|fig3|1|0.5|8") || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -50,10 +53,10 @@ func TestSpillSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("key-a", []byte("alpha")); err != nil {
+	if err := s.Put("key-a", testCode, []byte("alpha")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("key-b", []byte("beta-beta")); err != nil {
+	if err := s.Put("key-b", testCode, []byte("beta-beta")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,12 +65,51 @@ func TestSpillSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s2.Stats()
-	if st.Artifacts != 2 || st.Bytes != int64(len("alpha")+len("beta-beta")) {
-		t.Fatalf("reopened inventory = %+v, want 2 artifacts, %d bytes", st, len("alpha")+len("beta-beta"))
+	want := spillFileSize(t, dir, "key-a") + spillFileSize(t, dir, "key-b")
+	if st.Artifacts != 2 || st.Bytes != want {
+		t.Fatalf("reopened inventory = %+v, want 2 artifacts, %d bytes", st, want)
 	}
-	got, ok, err := s2.Get("key-a")
+	got, _, ok, err := s2.Get("key-a", testCode)
 	if err != nil || !ok || string(got) != "alpha" {
 		t.Fatalf("reload across reopen: %q ok=%v err=%v", got, ok, err)
+	}
+}
+
+// TestSpillRecordRestartInventory: records written through the
+// fault-injecting FS (with no faults planned) are inventoried by a
+// store reopened over the plain OS FS, and each is served by address
+// under the exact chain Put minted for it.
+func TestSpillRecordRestartInventory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	s1, err := memo.OpenSpill(faultinject.NewFS(wal.OSFS{}, faultinject.FSConfig{Seed: 1}), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[string][]byte{
+		"experiment|fig4|7|0.01|1": []byte(`{"name":"fig4"}`),
+		"other-key":                []byte("other-payload"),
+	}
+	for key, payload := range payloads {
+		if err := s1.Put(key, testCode, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := memo.OpenSpill(wal.OSFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Artifacts != 2 {
+		t.Fatalf("restart inventory = %+v, want 2 artifacts", st)
+	}
+	for key, payload := range payloads {
+		got, rec, ok, err := s2.GetAddr(api.ArtifactID(key), testCode)
+		if err != nil || !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("%s after restart: %q ok=%v err=%v", key, got, ok, err)
+		}
+		if want := api.BuildProof(key, testCode, payload); rec != want {
+			t.Fatalf("%s after restart: record %+v, want %+v", key, rec, want)
+		}
 	}
 }
 
@@ -82,7 +124,7 @@ func TestSpillQuarantine(t *testing.T) {
 	}
 	mangle := func(t *testing.T, key string, f func([]byte) []byte) {
 		t.Helper()
-		if err := s.Put(key, []byte("precious-artifact-bytes")); err != nil {
+		if err := s.Put(key, testCode, []byte("precious-artifact-bytes")); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256([]byte(key))
@@ -101,7 +143,7 @@ func TestSpillQuarantine(t *testing.T) {
 	mangle(t, "headerless", func(d []byte) []byte { return d[:10] })
 
 	for _, key := range []string{"bitflip", "truncated", "headerless"} {
-		got, ok, err := s.Get(key)
+		got, _, ok, err := s.Get(key, testCode)
 		if err != nil {
 			t.Fatalf("%s: Get errored: %v", key, err)
 		}
@@ -109,7 +151,7 @@ func TestSpillQuarantine(t *testing.T) {
 			t.Fatalf("%s: corrupt artifact served: %q", key, got)
 		}
 		// Quarantined, not deleted: the bytes stay for inspection.
-		if _, ok, _ := s.Get(key); ok {
+		if _, _, ok, _ := s.Get(key, testCode); ok {
 			t.Fatalf("%s: corrupt artifact served on second read", key)
 		}
 	}
@@ -162,6 +204,90 @@ func TestSpillSweepsStaleTmp(t *testing.T) {
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale tmp not swept: %v", err)
 	}
+}
+
+// testCode is the code identity the spill tests write and read under.
+const testCode = "goldens:deadbeef|tensor:reference"
+
+// spillFileSize is the on-disk size of the file key spilled to.
+func spillFileSize(t *testing.T, dir, key string) int64 {
+	t.Helper()
+	info, err := os.Stat(filepath.Join(dir, api.ArtifactID(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestSpillGetAddr: serving by address returns the payload with the
+// record Put minted, a malformed address is an error and never a path
+// lookup, and a second Put of a key on disk is a no-op.
+func TestSpillGetAddr(t *testing.T) {
+	s, err := memo.OpenSpill(wal.OSFS{}, filepath.Join(t.TempDir(), "spill"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "experiment|fig4|7|0.01|1"
+	payload := []byte(`{"name":"fig4","seed":7,"render":"ok"}`)
+	for range 2 {
+		if err := s.Put(key, testCode, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Puts != 1 || st.Artifacts != 1 {
+		t.Fatalf("duplicate Put wrote again: %+v", st)
+	}
+	got, rec, ok, err := s.GetAddr(api.ArtifactID(key), testCode)
+	if err != nil || !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("GetAddr = %q, %v, %v", got, ok, err)
+	}
+	if rec != api.BuildProof(key, testCode, payload) {
+		t.Fatalf("record = %+v, want the chain Put built", rec)
+	}
+	for _, addr := range []string{"", "..", "../../etc/passwd", strings.Repeat("AB", 32)} {
+		if _, _, ok, err := s.GetAddr(addr, testCode); ok || err == nil {
+			t.Fatalf("GetAddr(%q) = %v, %v; want an invalid-address error", addr, ok, err)
+		}
+	}
+}
+
+// FuzzSpillRecord writes arbitrary bytes as the spill file of one key
+// and reads them back. The read never panics; it serves a payload only
+// when the decoded record is exactly the chain api.BuildProof derives
+// for (key, code, payload); and a file it refuses leaves the live name
+// and is counted once.
+func FuzzSpillRecord(f *testing.F) {
+	const key = "experiment|fig4|7|0.01|1"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, api.ArtifactID(key))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := memo.OpenSpill(wal.OSFS{}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, rec, ok, err := s.Get(key, testCode)
+		if err != nil {
+			t.Fatalf("Get errored: %v", err)
+		}
+		if ok {
+			if want := api.BuildProof(key, testCode, payload); rec != want {
+				t.Fatalf("served under record %+v, want %+v", rec, want)
+			}
+			return
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused file still at its live name: %v", err)
+		}
+		if _, _, ok, _ := s.Get(key, testCode); ok {
+			t.Fatal("refused file served on a second read")
+		}
+		if st := s.Stats(); st.Corrupt != 1 || st.Artifacts != 0 || st.Bytes != 0 {
+			t.Fatalf("stats after one refusal = %+v, want Corrupt=1 and an empty inventory", st)
+		}
+	})
 }
 
 func TestCacheOnEvictSpillsValue(t *testing.T) {

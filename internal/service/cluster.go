@@ -20,10 +20,11 @@ package service
 // across membership changes: the journal is node-local truth.
 //
 // Before computing a missing artifact, a node asks its peers for it by
-// content address and accepts the bytes only if the Merkle provenance
-// chain (internal/provenance) verifies against the spec key and code
-// identity this node would itself have used — so a node never serves
-// peer bytes it could not have produced.
+// content address and accepts the bytes only if they pass the same
+// check as its own spill files (memo.CheckRecord): the Merkle
+// provenance chain binds the payload, and its address and code identity
+// are the ones this node would itself have used — so a node never
+// serves peer bytes it could not have produced.
 
 import (
 	"encoding/json"
@@ -38,8 +39,6 @@ import (
 	"xbarsec/api"
 	"xbarsec/internal/cluster"
 	"xbarsec/internal/memo"
-	"xbarsec/internal/provenance"
-	"xbarsec/internal/tensor"
 )
 
 // ClusterConfig makes a service one node of a static cluster.
@@ -141,28 +140,19 @@ func (s *Service) routeKey(key string) error {
 // routeVictim admits a victim-scoped request.
 func (s *Service) routeVictim(name string) error { return s.routeKey(victimKey(name)) }
 
-// codeIdentity is the code-hash preimage of the provenance chain: the
-// experiment registry digest plus the tensor backend. Two nodes with
-// equal code identities compute bit-identical artifacts for equal spec
-// keys — exactly the condition under which accepting a peer's artifact
-// in place of recomputing is sound.
-func codeIdentity() string {
-	return "registry:" + RegistryHash() + "|tensor:" + tensor.ActiveName()
-}
-
 // peerFetchExperiment tries to serve a missing experiment artifact
 // from a peer instead of recomputing: fetch payload + provenance chain
-// by content address, verify the chain against the spec key and code
-// identity this node would have used, and persist the verified bytes
-// locally (spill + record) so the artifact is served and re-proved
-// from here on. Returns nil — degrade to local compute — on any
-// failure: peers down, artifact unknown, or verification rejected.
+// by content address, check them against the address and code identity
+// this node would have used, and spill the checked bytes locally (with
+// a freshly minted record) so the artifact is served and re-proved from
+// here on. Returns nil — degrade to local compute — on any failure:
+// peers down, artifact unknown, or the check rejected.
 func (s *Service) peerFetchExperiment(key string) *ExperimentResult {
 	c := s.cluster
 	if c == nil || len(c.peers) == 0 {
 		return nil
 	}
-	id := memo.Addr(key)
+	id := api.ArtifactID(key)
 	code := codeIdentity()
 	for _, m := range c.peers {
 		c.peerFetches.Add(1)
@@ -172,7 +162,7 @@ func (s *Service) peerFetchExperiment(key string) *ExperimentResult {
 			// failure, just a miss.
 			continue
 		}
-		if err := provenance.Verify(*proof, key, code, art.Payload); err != nil {
+		if err := memo.CheckRecord(proof, id, code, art.Payload); err != nil {
 			c.peerRejected.Add(1)
 			continue
 		}
@@ -182,10 +172,10 @@ func (s *Service) peerFetchExperiment(key string) *ExperimentResult {
 			continue
 		}
 		c.peerVerified.Add(1)
-		// The verified payload spills verbatim — byte-identical on every
+		// The checked payload spills verbatim — byte-identical on every
 		// node that holds it — with a freshly derived record.
-		if s.spill != nil && s.spill.Put(key, art.Payload) == nil && s.prov != nil {
-			_ = s.prov.Put(provenance.New(key, code, art.Payload))
+		if s.spill != nil {
+			_ = s.spill.Put(key, code, art.Payload)
 		}
 		return &res
 	}
@@ -219,14 +209,14 @@ func (c *clusterNode) getJSON(url string, v any) error {
 }
 
 // ErrArtifactUnknown indicates no provable artifact at the requested
-// content address on this node — absent, unproven (no provenance
-// record), or failing verification. The wire code is unknown_artifact.
+// content address on this node — absent, or failing the spill store's
+// check. The wire code is unknown_artifact.
 var ErrArtifactUnknown = errors.New("service: unknown artifact")
 
 // Artifact serves one spilled artifact by content address — only after
-// its provenance chain verifies against the stored payload, so a
-// corrupt record or payload is a 404, never wrong bytes with a proof
-// that does not bind.
+// its record passes the spill store's check, so a corrupt record or
+// payload, or one from other code, is a 404, never wrong bytes with a
+// proof that does not bind.
 func (s *Service) Artifact(id string) (*api.Artifact, error) {
 	payload, _, err := s.artifactAt(id)
 	if err != nil {
@@ -244,26 +234,19 @@ func (s *Service) ArtifactProof(id string) (*api.ArtifactProof, error) {
 	return &rec, nil
 }
 
-// artifactAt loads and verifies (payload, record) at a content
-// address.
-func (s *Service) artifactAt(id string) ([]byte, provenance.Record, error) {
-	var zero provenance.Record
+// artifactAt loads a spilled artifact and its record by content
+// address, through the spill store's check against this node's code
+// identity.
+func (s *Service) artifactAt(id string) ([]byte, api.ArtifactProof, error) {
 	if !memo.ValidAddr(id) {
-		return nil, zero, badRequestf("artifact id %q is not a content address", id)
+		return nil, api.ArtifactProof{}, badRequestf("artifact id %q is not a content address", id)
 	}
-	if s.spill == nil || s.prov == nil {
-		return nil, zero, fmt.Errorf("service: artifact %s (no artifact store): %w", id, ErrArtifactUnknown)
+	if s.spill == nil {
+		return nil, api.ArtifactProof{}, fmt.Errorf("service: artifact %s (no artifact store): %w", id, ErrArtifactUnknown)
 	}
-	payload, ok, err := s.spill.GetAddr(id)
+	payload, rec, ok, err := s.spill.GetAddr(id, codeIdentity())
 	if err != nil || !ok {
-		return nil, zero, fmt.Errorf("service: artifact %s: %w", id, ErrArtifactUnknown)
-	}
-	rec, ok, err := s.prov.Get(id)
-	if err != nil || !ok {
-		return nil, zero, fmt.Errorf("service: artifact %s has no provenance record: %w", id, ErrArtifactUnknown)
-	}
-	if err := rec.Verify(payload); err != nil {
-		return nil, zero, fmt.Errorf("service: artifact %s fails verification (%v): %w", id, err, ErrArtifactUnknown)
+		return nil, rec, fmt.Errorf("service: artifact %s: %w", id, ErrArtifactUnknown)
 	}
 	return payload, rec, nil
 }

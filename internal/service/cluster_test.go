@@ -29,7 +29,6 @@ import (
 	"xbarsec/internal/experiment/engine"
 	"xbarsec/internal/faultinject"
 	"xbarsec/internal/memo"
-	"xbarsec/internal/provenance"
 	"xbarsec/internal/wal"
 )
 
@@ -248,10 +247,10 @@ func TestClusterPeerFetchVerified(t *testing.T) {
 	}
 	spec := specOwnedBy(t, ring, "b")
 	key := specKey(specDefaults(spec))
-	id := memo.Addr(key)
+	id := api.ArtifactID(key)
 
 	// Node a computed the artifact while it ran solo (before the cluster
-	// grew): payload spilled, provenance record alongside.
+	// grew): payload spilled with its provenance record inside.
 	dirA, dirB := t.TempDir(), t.TempDir()
 	solo, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dirA})
 	if err != nil {
@@ -357,13 +356,13 @@ func TestClusterPeerFetchRejectsBadProofs(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		proof   provenance.Record
+		proof   api.ArtifactProof
 		payload []byte
 	}{
-		{"wrong spec key", provenance.New("experiment|other|1|1|0", code, payload), payload},
-		{"wrong code", provenance.New(key, "registry:0000|tensor:ref", payload), payload},
-		{"tampered payload", provenance.New(key, code, payload), tampered},
-		{"unparseable payload", provenance.New(key, code, notAResult), notAResult},
+		{"wrong spec key", api.BuildProof("experiment|other|1|1|0", code, payload), payload},
+		{"wrong code", api.BuildProof(key, "registry:0000|tensor:ref", payload), payload},
+		{"tampered payload", api.BuildProof(key, code, payload), tampered},
+		{"unparseable payload", api.BuildProof(key, code, notAResult), notAResult},
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.name, " ", "-"), func(t *testing.T) {
@@ -429,7 +428,7 @@ func TestClusterTamperedSpillNotServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := specOwnedBy(t, ring, "b")
-	id := memo.Addr(specKey(specDefaults(spec)))
+	id := api.ArtifactID(specKey(specDefaults(spec)))
 
 	dirA, dirB := t.TempDir(), t.TempDir()
 	solo, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: dirA})
@@ -522,18 +521,18 @@ func TestArtifactEndpoints(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range specs {
 		key := specKey(specDefaults(spec))
-		art, proof, err := c.VerifiedArtifact(ctx, memo.Addr(key))
+		art, proof, err := c.VerifiedArtifact(ctx, api.ArtifactID(key))
 		if err != nil {
 			t.Fatalf("spilled artifact %s fails the verified fetch: %v", key, err)
 		}
-		if proof.SpecKey != key || proof.Code != codeIdentity() || art.ID != memo.Addr(key) {
+		if proof.SpecKey != key || proof.Code != codeIdentity() || art.ID != api.ArtifactID(key) {
 			t.Fatalf("proof = %+v for key %q", proof, key)
 		}
 	}
 	if _, err := c.Artifact(ctx, "not-a-content-address"); api.CodeOf(err) != api.CodeBadRequest {
 		t.Fatalf("malformed id = %v, want typed bad_request", err)
 	}
-	if _, err := c.Artifact(ctx, memo.Addr("experiment|never-ran")); api.CodeOf(err) != api.CodeUnknownArtifact {
+	if _, err := c.Artifact(ctx, api.ArtifactID("experiment|never-ran")); api.CodeOf(err) != api.CodeUnknownArtifact {
 		t.Fatalf("unknown id = %v, want typed unknown_artifact", err)
 	}
 	// A single-node server reports the cluster disabled.
@@ -674,12 +673,12 @@ func TestChaosClusterKillOwnerMidJob(t *testing.T) {
 
 	// The replayed artifact's chain verifies: in process...
 	key := specKey(specDefaults(spec))
-	id := memo.Addr(key)
+	id := api.ArtifactID(key)
 	payload, prec, err := s2.artifactAt(id)
 	if err != nil {
 		t.Fatalf("replayed artifact not servable: %v", err)
 	}
-	if err := provenance.Verify(prec, key, codeIdentity(), payload); err != nil {
+	if err := memo.CheckRecord(&prec, id, codeIdentity(), payload); err != nil {
 		t.Fatalf("replayed artifact's chain rejected: %v", err)
 	}
 	// ...and over the wire, through the client-side verifier.

@@ -1,15 +1,17 @@
 package service
 
 // The chaos suite for the durability layer: kill-and-restart recovery,
-// torn journal tails, corrupt spill artifacts, journal-full refusal and
-// panicking jobs — every test named TestChaos* so `make chaos` runs the
-// whole suite under the race detector. The crash primitive is the
-// fault-injection FS's crash switch: an in-process SIGKILL equivalent
-// where abandoned goroutines keep running but nothing they do reaches
-// the state directory anymore.
+// torn journal tails, corrupt spill artifacts, spill files from other
+// builds, journal-full refusal and panicking jobs — every test named
+// TestChaos* so `make chaos` runs the whole suite under the race
+// detector. The crash primitive is the fault-injection FS's crash
+// switch: an in-process SIGKILL equivalent where abandoned goroutines
+// keep running but nothing they do reaches the state directory anymore.
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,12 +27,14 @@ import (
 	"time"
 
 	"xbarsec/api"
+	"xbarsec/client"
 	"xbarsec/internal/experiment/engine"
 	"xbarsec/internal/faultinject"
 	"xbarsec/internal/memo"
 	"xbarsec/internal/oracle"
 	"xbarsec/internal/report"
 	"xbarsec/internal/rng"
+	"xbarsec/internal/tensor"
 	"xbarsec/internal/wal"
 )
 
@@ -463,6 +467,95 @@ func TestChaosCorruptSpill(t *testing.T) {
 	}
 	if st := s2.Stats(); st.SpilledArtifacts != 1 {
 		t.Fatalf("stats count %d spilled artifacts, want 1", st.SpilledArtifacts)
+	}
+}
+
+// TestChaosSpillFromOtherBuild: a spill file whose record another build
+// minted (another goldens digest), or that predates records altogether
+// ([sha256(payload)][payload]), is never served, even when its own
+// bytes are self-consistent. The artifact endpoint answers
+// unknown_artifact, the read-through recomputes the honest result, and
+// the recompute rewrites the file under this build's code identity.
+func TestChaosSpillFromOtherBuild(t *testing.T) {
+	registerDurabilityExperiments()
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, dir, key string, payload []byte)
+	}{
+		{"other code", func(t *testing.T, dir, key string, payload []byte) {
+			sp, err := memo.OpenSpill(wal.OSFS{}, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Put(key, "goldens:0000|tensor:"+tensor.ActiveName(), payload); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pre-record layout", func(t *testing.T, dir, key string, payload []byte) {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(payload)
+			if err := os.WriteFile(filepath.Join(dir, api.ArtifactID(key)), append(sum[:], payload...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(strings.ReplaceAll(tc.name, " ", "-"), func(t *testing.T) {
+			// Spec a is asked for by address, spec b through the read-through.
+			specs := []ExperimentSpec{{Name: "svc-test-quick", Seed: 61}, {Name: "svc-test-quick", Seed: 62}}
+			dir := t.TempDir()
+			for _, spec := range specs {
+				// Self-consistent bytes with other numbers: what a build with
+				// other numerics spilled for this spec.
+				stale, err := json.Marshal(ExperimentResult{Name: spec.Name, Seed: spec.Seed,
+					Render: "stale numbers", Result: json.RawMessage(`{"sum":0}`)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.write(t, filepath.Join(dir, "spill"), specKey(specDefaults(spec)), stale)
+			}
+			s, rec, err := Open(Config{StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if rec.SpilledArtifacts != 2 {
+				t.Fatalf("inventory = %d, want 2 (files are checked on read)", rec.SpilledArtifacts)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			c, err := client.New(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idA := api.ArtifactID(specKey(specDefaults(specs[0])))
+			if _, err := c.Artifact(context.Background(), idA); api.CodeOf(err) != api.CodeUnknownArtifact {
+				t.Fatalf("GET artifact from another build = %v, want typed unknown_artifact", err)
+			}
+
+			ref := newTestService(t, Config{})
+			for _, spec := range specs {
+				want, err := ref.RunExperiment(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.RunExperiment(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cached {
+					t.Errorf("seed %d: artifact from another build served as cached", spec.Seed)
+				}
+				if res.Render != want.Render || !bytes.Equal(res.Result, want.Result) {
+					t.Fatalf("seed %d: served %q, want the honest %q", spec.Seed, res.Render, want.Render)
+				}
+				_, proof, err := s.artifactAt(api.ArtifactID(specKey(specDefaults(spec))))
+				if err != nil || proof.Code != codeIdentity() {
+					t.Fatalf("seed %d: file not rewritten under this build: code %q, %v", spec.Seed, proof.Code, err)
+				}
+			}
+		})
 	}
 }
 

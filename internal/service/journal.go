@@ -19,8 +19,9 @@ import (
 	"path/filepath"
 	"sync"
 
+	"xbarsec/internal/experiment"
 	"xbarsec/internal/memo"
-	"xbarsec/internal/provenance"
+	"xbarsec/internal/tensor"
 	"xbarsec/internal/wal"
 )
 
@@ -152,12 +153,6 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Provenance records live next to the artifacts they describe; the
-	// same durable-mode switch governs both.
-	prov, err := provenance.OpenStore(fsys, filepath.Join(cfg.StateDir, "prov"))
-	if err != nil {
-		return nil, nil, err
-	}
 
 	// Replay the previous generation. Completion marks fold into their
 	// launch records; unparseable payloads (a future schema) are skipped,
@@ -222,9 +217,7 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 	}
 
 	s := New(cfg)
-	s.fsys = fsys
 	s.spill = spill
-	s.prov = prov
 	// Evicted artifacts leave memory but stay servable from disk; write-
 	// through at compute time already persisted most, so this mainly
 	// catches artifacts computed before the spill dir had space.
@@ -386,9 +379,19 @@ func (s *Service) journalFinish(id string, jobErr error) {
 	_ = s.journal.append(rec)
 }
 
-// spillArtifact persists one artifact to the spill store, best-effort:
-// a full disk degrades the server to memory-only caching rather than
-// failing the computation that produced the artifact.
+// codeIdentity is the code half of every artifact's identity, the
+// code-link preimage of its provenance record: the digest of the
+// committed goldens (what this build computes) plus the active tensor
+// backend, read per call because tensor.Use runs at startup. Artifacts
+// recorded under another identity are never served here, from disk or
+// from a peer.
+func codeIdentity() string {
+	return "goldens:" + experiment.GoldensDigest() + "|tensor:" + tensor.ActiveName()
+}
+
+// spillArtifact persists one artifact with its provenance record,
+// best-effort: a full disk degrades the server to memory-only caching
+// rather than failing the computation that produced the artifact.
 func (s *Service) spillArtifact(key string, val any) {
 	if s.spill == nil {
 		return
@@ -397,25 +400,17 @@ func (s *Service) spillArtifact(key string, val any) {
 	if err != nil {
 		return
 	}
-	if s.spill.Put(key, payload) != nil {
-		return
-	}
-	if s.prov != nil {
-		// The record is a pure function of (key, code identity, payload):
-		// losing it (full disk, crash) only disables serving this artifact
-		// to peers until the next spill re-derives it, never correctness.
-		_ = s.prov.Put(provenance.New(key, codeIdentity(), payload))
-	}
+	_ = s.spill.Put(key, codeIdentity(), payload)
 }
 
 // spillLoad reloads a typed artifact from the spill store; nil on any
-// miss, corruption (quarantined inside the store) or decode failure —
+// miss, failed check (quarantined inside the store) or decode failure —
 // every failure path degrades to recomputation, never a wrong result.
 func spillLoad[T any](s *Service, key string) *T {
 	if s.spill == nil {
 		return nil
 	}
-	payload, ok, err := s.spill.Get(key)
+	payload, _, ok, err := s.spill.Get(key, codeIdentity())
 	if err != nil || !ok {
 		return nil
 	}

@@ -27,7 +27,6 @@ import (
 	"xbarsec/api"
 	"xbarsec/internal/memo"
 	"xbarsec/internal/pool"
-	"xbarsec/internal/provenance"
 	"xbarsec/internal/rng"
 	"xbarsec/internal/tensor"
 	"xbarsec/internal/wal"
@@ -109,11 +108,9 @@ type Service struct {
 	gate     *pool.Gate
 	jobs     *jobTable
 
-	// Durable-mode state, nil/zero under New (memory-only). See Open.
-	fsys    wal.FS
+	// Durable-mode state, nil under New (memory-only). See Open.
 	journal *jobJournal
 	spill   *memo.SpillStore
-	prov    *provenance.Store
 
 	// Cluster state, nil when Config.Cluster is unset. See cluster.go.
 	cluster *clusterNode
@@ -344,9 +341,8 @@ func (s *Service) Stats() Stats {
 		st.SpilledArtifacts = sp.Artifacts
 		st.SpilledArtifactBytes = sp.Bytes
 		st.SpillHits = sp.Hits
-	}
-	if s.prov != nil {
-		st.ProvenanceRecords = s.prov.Count()
+		// Every record lives inside its artifact's spill file.
+		st.ProvenanceRecords = sp.Artifacts
 	}
 	if c := s.cluster; c != nil {
 		st.NodeID = c.self.ID
