@@ -126,8 +126,8 @@ cluster:
 # Coverage-guided fuzzing, each stdlib fuzz target for a fixed 30 s
 # (go test accepts one -fuzz target per run): the binary query-body
 # parser (the server's first contact with a binary request), the spill
-# file read and its record check, and the fast dot kernels against the
-# reference chain. Each target starts from its f.Add seeds plus any
+# file read and its record check, journal replay over arbitrary bytes,
+# and the fast dot kernels against the reference chain. Each target starts from its f.Add seeds plus any
 # committed corpus under testdata/fuzz/<target>; a failure writes the
 # crashing input there, ready to commit as a regression seed. CI runs it
 # as its own job. FuzzSpillRecord does real file I/O per run, so its
@@ -136,6 +136,7 @@ cluster:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseF64Rows$$' -fuzztime 30s ./api/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRecord$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/memo/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime 30s ./internal/tensor/
 
 # Builds and RUNS every example end to end (each takes a second or two;

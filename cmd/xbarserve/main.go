@@ -249,7 +249,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer(svc.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -272,6 +272,26 @@ func run(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, "xbarserve: shutting down")
 	return shutdown(srv, errCh)
+}
+
+// Read deadlines. A client that declares a body and then stalls would
+// otherwise hold its connection, and whatever it sent, for as long as
+// it likes. readTimeout covers the whole request, body included, and is
+// sized so that the largest body the service accepts (128 MiB) still
+// arrives from a client sending at least ~1.07 MiB/s (128 MiB in two
+// minutes). The read deadline ends with the request: once the body has
+// been read to its end, net/http clears it as it starts watching the
+// connection for a disconnect, so it never cuts a handler's wait. There
+// is no write deadline: a launch with ?wait=1 writes its response only
+// when the job finishes, which can take minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+)
+
+// newServer wraps h in the server xbarserve listens with.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 func shutdown(srv *http.Server, errCh chan error) error {

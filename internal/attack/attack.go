@@ -1,6 +1,6 @@
 // Package attack implements the evasion attacks of the paper: the fast
-// gradient sign and value methods (Eq. 2), their iterative PGD extension,
-// and the power-guided single- and multi-pixel attacks of Section III.
+// gradient sign method (Eq. 2) and the power-guided single- and
+// multi-pixel attacks of Section III.
 package attack
 
 import (
@@ -48,102 +48,6 @@ func FGSM(g GradientSource, u, target []float64, eps float64) ([]float64, error)
 		}
 	}
 	return out, nil
-}
-
-// TargetedFGSM returns the targeted variant of Eq. (2): the input moves
-// *down* the loss gradient computed against the attacker-chosen target
-// class, u' = u − ε·sgn(∇uL(u, target)), steering the model toward
-// classifying u' as that class (the paper's "stop sign as speed limit"
-// scenario).
-func TargetedFGSM(g GradientSource, u, target []float64, eps float64) ([]float64, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("attack: negative attack strength %v", eps)
-	}
-	if len(u) != g.Inputs() {
-		return nil, fmt.Errorf("attack: input length %d, want %d", len(u), g.Inputs())
-	}
-	grad := g.InputGradient(u, target)
-	out := tensor.CloneVec(u)
-	for j, gj := range grad {
-		switch {
-		case gj > 0:
-			out[j] -= eps
-		case gj < 0:
-			out[j] += eps
-		}
-	}
-	return out, nil
-}
-
-// FGV returns the fast gradient value perturbation u' = u + ε·∇uL/‖∇uL‖₂,
-// the FGSM variant that preserves the gradient direction.
-func FGV(g GradientSource, u, target []float64, eps float64) ([]float64, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("attack: negative attack strength %v", eps)
-	}
-	if len(u) != g.Inputs() {
-		return nil, fmt.Errorf("attack: input length %d, want %d", len(u), g.Inputs())
-	}
-	grad := g.InputGradient(u, target)
-	norm := tensor.Norm2(grad)
-	out := tensor.CloneVec(u)
-	if norm == 0 {
-		return out, nil
-	}
-	tensor.AxpyInPlace(eps/norm, grad, out)
-	return out, nil
-}
-
-// PGDConfig controls the projected-gradient-descent attack, the standard
-// iterative strengthening of FGSM (an extension beyond the paper's
-// single-step attacks).
-type PGDConfig struct {
-	// Eps is the ℓ∞ ball radius around the clean input.
-	Eps float64
-	// StepSize is the per-iteration FGSM step.
-	StepSize float64
-	// Steps is the number of iterations.
-	Steps int
-	// ClipLo and ClipHi bound the pixel values (use 0,1 for images;
-	// set ClipLo == ClipHi to disable).
-	ClipLo, ClipHi float64
-}
-
-// PGD runs iterated FGSM steps projected back into the ℓ∞ ball of radius
-// cfg.Eps around u.
-func PGD(g GradientSource, u, target []float64, cfg PGDConfig) ([]float64, error) {
-	if cfg.Eps < 0 || cfg.StepSize <= 0 || cfg.Steps <= 0 {
-		return nil, fmt.Errorf("attack: invalid PGD config %+v", cfg)
-	}
-	if len(u) != g.Inputs() {
-		return nil, fmt.Errorf("attack: input length %d, want %d", len(u), g.Inputs())
-	}
-	adv := tensor.CloneVec(u)
-	for step := 0; step < cfg.Steps; step++ {
-		grad := g.InputGradient(adv, target)
-		for j, gj := range grad {
-			switch {
-			case gj > 0:
-				adv[j] += cfg.StepSize
-			case gj < 0:
-				adv[j] -= cfg.StepSize
-			}
-			// Project into the ℓ∞ ball.
-			if adv[j] > u[j]+cfg.Eps {
-				adv[j] = u[j] + cfg.Eps
-			} else if adv[j] < u[j]-cfg.Eps {
-				adv[j] = u[j] - cfg.Eps
-			}
-			if cfg.ClipHi > cfg.ClipLo {
-				if adv[j] < cfg.ClipLo {
-					adv[j] = cfg.ClipLo
-				} else if adv[j] > cfg.ClipHi {
-					adv[j] = cfg.ClipHi
-				}
-			}
-		}
-	}
-	return adv, nil
 }
 
 // ErrNeedNorms indicates a power-guided method was invoked without column
@@ -318,12 +222,6 @@ func MultiPixel(k int, u, target []float64, eps float64, norms []float64, grad G
 		}
 	}
 	return out, nil
-}
-
-// LossIncrease is a convenience used by tests and examples: the change in
-// the victim's loss caused by an adversarial example.
-func LossIncrease(victim *nn.Network, clean, adv, target []float64) float64 {
-	return victim.LossValue(adv, target) - victim.LossValue(clean, target)
 }
 
 // Linf returns the ℓ∞ distance between a clean input and its adversarial

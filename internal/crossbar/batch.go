@@ -9,9 +9,8 @@ import (
 // Batched evaluation. One programmed array is driven with a whole batch
 // of input vectors at once. For noise-free arrays the IR-drop-adjusted
 // effective conductances are materialized once per array and cached (the
-// scalar entry points read the same cache), inputs are validated up
-// front, and tiled arrays amortize the per-tile dispatch over the batch.
-// Every batched method processes inputs strictly in order through the
+// scalar entry points read the same cache) and inputs are validated up
+// front. Every batched method processes inputs strictly in order through the
 // scalar kernels, so results — including the consumption order of a
 // noisy array's per-read noise stream — are bit-identical to calling the
 // scalar counterpart once per input.
@@ -118,78 +117,6 @@ func (x *Crossbar) PowerBatch(us [][]float64) ([]float64, error) {
 	}
 	for b := range out {
 		out[b] *= x.cfg.Vdd
-	}
-	return out, nil
-}
-
-// OutputBatch computes the logical s ≈ Wu per input across the tile grid,
-// accumulating each tile's batched partial outputs digitally.
-func (t *TiledArray) OutputBatch(us [][]float64) ([][]float64, error) {
-	if err := validateBatch(us, t.cols); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(us))
-	for b := range out {
-		out[b] = make([]float64, t.rows)
-	}
-	subs := make([][]float64, len(us))
-	for rb := range t.tiles {
-		for cb, xb := range t.tiles[rb] {
-			c0, c1 := t.colStart[cb], t.colStart[cb+1]
-			for b, u := range us {
-				subs[b] = u[c0:c1]
-			}
-			parts, err := xb.OutputBatch(subs)
-			if err != nil {
-				return nil, fmt.Errorf("crossbar: tile (%d,%d): %w", rb, cb, err)
-			}
-			r0 := t.rowStart[rb]
-			for b, part := range parts {
-				o := out[b]
-				for i, v := range part {
-					o[r0+i] += v
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// TotalCurrentBatch returns the package-level supply current per input,
-// summed over all tiles.
-func (t *TiledArray) TotalCurrentBatch(us [][]float64) ([]float64, error) {
-	if err := validateBatch(us, t.cols); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(us))
-	subs := make([][]float64, len(us))
-	for rb := range t.tiles {
-		for cb, xb := range t.tiles[rb] {
-			c0, c1 := t.colStart[cb], t.colStart[cb+1]
-			for b, u := range us {
-				subs[b] = u[c0:c1]
-			}
-			parts, err := xb.TotalCurrentBatch(subs)
-			if err != nil {
-				return nil, fmt.Errorf("crossbar: tile (%d,%d): %w", rb, cb, err)
-			}
-			for b, i := range parts {
-				out[b] += i
-			}
-		}
-	}
-	return out, nil
-}
-
-// PowerBatch returns Vdd · total current per input, matching Power.
-func (t *TiledArray) PowerBatch(us [][]float64) ([]float64, error) {
-	out, err := t.TotalCurrentBatch(us)
-	if err != nil {
-		return nil, err
-	}
-	vdd := t.tiles[0][0].Config().Vdd
-	for b := range out {
-		out[b] *= vdd
 	}
 	return out, nil
 }
@@ -320,110 +247,4 @@ func (n *Network) PredictBatch(us [][]float64) ([]int, error) {
 // PowerBatch returns the read power per input.
 func (n *Network) PowerBatch(us [][]float64) ([]float64, error) {
 	return n.xbar.PowerBatch(us)
-}
-
-// noisy reports whether any layer array draws per-read noise. A noisy
-// pipeline cannot be layer-batched bit-identically: batching would
-// consume each layer's noise stream for the whole batch at once, while
-// sequential calls interleave forward and power draws per input. The
-// batched MLP entry points therefore fall back to strict per-input
-// scalar calls when any layer is noisy.
-func (n *MLPNetwork) noisy() bool {
-	for _, xb := range n.layers {
-		if xb.reads != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// forwardActivationsBatch runs the analog pipeline on a whole batch: one
-// batched MVM pass per array instead of one pass per sample. It returns
-// every layer's batch of input vectors plus the final outputs.
-func (n *MLPNetwork) forwardActivationsBatch(us [][]float64) (inputs [][][]float64, outs [][]float64, err error) {
-	inputs = make([][][]float64, len(n.layers))
-	cur := us
-	for l, xb := range n.layers {
-		inputs[l] = cur
-		ss, err := xb.OutputBatch(cur)
-		if err != nil {
-			return nil, nil, fmt.Errorf("crossbar: layer %d: %w", l, err)
-		}
-		act := n.mlp.Hidden
-		if l == len(n.layers)-1 {
-			act = n.mlp.Out
-		}
-		for b := range ss {
-			ss[b] = applyActivation(act, ss[b])
-		}
-		cur = ss
-	}
-	return inputs, cur, nil
-}
-
-// ForwardBatch returns the network output per input, layer-batched.
-func (n *MLPNetwork) ForwardBatch(us [][]float64) ([][]float64, error) {
-	if err := validateBatch(us, n.Inputs()); err != nil {
-		return nil, err
-	}
-	if n.noisy() {
-		outs := make([][]float64, len(us))
-		for b, u := range us {
-			y, err := n.Forward(u)
-			if err != nil {
-				return nil, err
-			}
-			outs[b] = y
-		}
-		return outs, nil
-	}
-	_, outs, err := n.forwardActivationsBatch(us)
-	return outs, err
-}
-
-// PredictBatch returns the argmax class per input.
-func (n *MLPNetwork) PredictBatch(us [][]float64) ([]int, error) {
-	ys, err := n.ForwardBatch(us)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]int, len(ys))
-	for b, y := range ys {
-		labels[b] = tensor.ArgMax(y)
-	}
-	return labels, nil
-}
-
-// PowerBatch returns the package-level read power per input: each array
-// measures its whole batch of layer inputs in one pass.
-func (n *MLPNetwork) PowerBatch(us [][]float64) ([]float64, error) {
-	if err := validateBatch(us, n.Inputs()); err != nil {
-		return nil, err
-	}
-	if n.noisy() {
-		out := make([]float64, len(us))
-		for b, u := range us {
-			p, err := n.Power(u)
-			if err != nil {
-				return nil, err
-			}
-			out[b] = p
-		}
-		return out, nil
-	}
-	inputs, _, err := n.forwardActivationsBatch(us)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(us))
-	for l, xb := range n.layers {
-		ps, err := xb.PowerBatch(inputs[l])
-		if err != nil {
-			return nil, fmt.Errorf("crossbar: layer %d power: %w", l, err)
-		}
-		for b, p := range ps {
-			out[b] += p
-		}
-	}
-	return out, nil
 }

@@ -180,77 +180,6 @@ func TestCrossbarBatchValidatesUpFront(t *testing.T) {
 	}
 }
 
-func checkTiledBatchMatches(t *testing.T, program func() *TiledArray, us [][]float64) {
-	t.Helper()
-	seq, bat := program(), program()
-	gotAll, err := bat.OutputBatch(us)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, u := range us {
-		want, err := seq.Output(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if gotAll[b][i] != want[i] {
-				t.Fatalf("tiled OutputBatch[%d][%d] = %v, sequential %v", b, i, gotAll[b][i], want[i])
-			}
-		}
-	}
-	seq, bat = program(), program()
-	gotI, err := bat.TotalCurrentBatch(us)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, u := range us {
-		want, err := seq.TotalCurrent(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotI[b] != want {
-			t.Fatalf("tiled TotalCurrentBatch[%d] = %v, sequential %v", b, gotI[b], want)
-		}
-	}
-	seq, bat = program(), program()
-	gotP, err := bat.PowerBatch(us)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, u := range us {
-		want, err := seq.Power(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotP[b] != want {
-			t.Fatalf("tiled PowerBatch[%d] = %v, sequential %v", b, gotP[b], want)
-		}
-	}
-}
-
-func TestTiledBatchMatchesSequential(t *testing.T) {
-	w, us := batchTestWeights(t, 10, 25)
-	tile := TileConfig{MaxRows: 4, MaxCols: 8}
-	t.Run("ideal", func(t *testing.T) {
-		checkTiledBatchMatches(t, func() *TiledArray {
-			ta, err := ProgramTiled(w, DefaultDeviceConfig(), tile, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ta
-		}, us)
-	})
-	t.Run("read-noise", func(t *testing.T) {
-		checkTiledBatchMatches(t, func() *TiledArray {
-			ta, err := ProgramTiled(w, readNoiseConfig(), tile, rng.New(9))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ta
-		}, us)
-	})
-}
-
 func TestNetworkBatchMatchesSequential(t *testing.T) {
 	w, us := batchTestWeights(t, 8, 20)
 	net, err := nn.NewNetwork(8, 20, nn.ActSoftmax, nn.LossCrossEntropy)
@@ -299,77 +228,4 @@ func TestNetworkBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("PowerBatch[%d] = %v, sequential %v", b, powers[b], p)
 		}
 	}
-}
-
-func TestMLPBatchMatchesSequential(t *testing.T) {
-	src := rng.New(3)
-	mlp, err := nn.NewMLP([]int{20, 12, 5}, nn.ActReLU, nn.ActSoftmax, nn.LossCrossEntropy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mlp.InitXavier(src.Split("init"))
-	_, us := batchTestWeights(t, 5, 20)
-	program := func(cfg DeviceConfig, seed int64) *MLPNetwork {
-		var psrc *rng.Source
-		if seed != 0 {
-			psrc = rng.New(seed)
-		}
-		hw, err := NewMLPNetwork(mlp, cfg, psrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hw
-	}
-	check := func(t *testing.T, fresh func() *MLPNetwork) {
-		seq, bat := fresh(), fresh()
-		ys, err := bat.ForwardBatch(us)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b, u := range us {
-			y, err := seq.Forward(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range y {
-				if ys[b][i] != y[i] {
-					t.Fatalf("MLP ForwardBatch[%d][%d] = %v, sequential %v", b, i, ys[b][i], y[i])
-				}
-			}
-		}
-		seq, bat = fresh(), fresh()
-		ps, err := bat.PowerBatch(us)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b, u := range us {
-			p, err := seq.Power(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ps[b] != p {
-				t.Fatalf("MLP PowerBatch[%d] = %v, sequential %v", b, ps[b], p)
-			}
-		}
-		seq, bat = fresh(), fresh()
-		labels, err := bat.PredictBatch(us)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b, u := range us {
-			label, err := seq.Predict(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if labels[b] != label {
-				t.Fatalf("MLP PredictBatch[%d] = %d, sequential %d", b, labels[b], label)
-			}
-		}
-	}
-	t.Run("ideal", func(t *testing.T) {
-		check(t, func() *MLPNetwork { return program(DefaultDeviceConfig(), 0) })
-	})
-	t.Run("read-noise", func(t *testing.T) {
-		check(t, func() *MLPNetwork { return program(readNoiseConfig(), 21) })
-	})
 }

@@ -121,35 +121,6 @@ func (d *Dataset) SampleN(src *rng.Source, n int) *Dataset {
 	return d.Subset(src.SampleWithoutReplacement(d.Len(), n))
 }
 
-// Split partitions the dataset into a training head and test tail after a
-// shuffle. frac is the training fraction in (0, 1).
-func (d *Dataset) Split(src *rng.Source, frac float64) (train, test *Dataset, err error) {
-	if d.Len() == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if frac <= 0 || frac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: split fraction %v out of (0,1)", frac)
-	}
-	p := src.Perm(d.Len())
-	cut := int(float64(d.Len()) * frac)
-	if cut == 0 {
-		cut = 1
-	}
-	if cut == d.Len() {
-		cut = d.Len() - 1
-	}
-	return d.Subset(p[:cut]), d.Subset(p[cut:]), nil
-}
-
-// ClassCounts returns the number of samples per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, l := range d.Labels {
-		counts[l]++
-	}
-	return counts
-}
-
 // FirstChannel returns the per-pixel values of channel 0 for use in
 // heatmaps, matching the paper's Figure 3 which plots only the first color
 // channel for CIFAR-10.

@@ -78,23 +78,6 @@ func TestSubsetCopies(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	d := makeTiny(t)
-	tr, te, err := d.Split(rng.New(1), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len()+te.Len() != d.Len() {
-		t.Fatalf("split sizes %d + %d != %d", tr.Len(), te.Len(), d.Len())
-	}
-	if _, _, err := d.Split(rng.New(1), 0); err == nil {
-		t.Fatal("frac 0 must error")
-	}
-	if _, _, err := (&Dataset{X: tensor.New(0, 4), NumClasses: 2, Width: 2, Height: 2, Channels: 1}).Split(rng.New(1), 0.5); err == nil {
-		t.Fatal("empty dataset must error")
-	}
-}
-
 func TestSampleNAndHead(t *testing.T) {
 	d := makeTiny(t)
 	s := d.SampleN(rng.New(2), 3)
@@ -110,14 +93,6 @@ func TestSampleNAndHead(t *testing.T) {
 	}
 }
 
-func TestClassCounts(t *testing.T) {
-	d := makeTiny(t)
-	c := d.ClassCounts()
-	if c[0] != 2 || c[1] != 2 {
-		t.Fatalf("counts %v", c)
-	}
-}
-
 func TestGenerateMNISTLike(t *testing.T) {
 	d, err := GenerateMNISTLike(rng.New(1), 100, DefaultMNISTLikeConfig())
 	if err != nil {
@@ -130,7 +105,11 @@ func TestGenerateMNISTLike(t *testing.T) {
 		t.Fatalf("geometry dim=%d classes=%d", d.Dim(), d.NumClasses)
 	}
 	// Balanced classes.
-	for c, n := range d.ClassCounts() {
+	counts := make([]int, d.NumClasses)
+	for _, l := range d.Labels {
+		counts[l]++
+	}
+	for c, n := range counts {
 		if n != 10 {
 			t.Fatalf("class %d has %d samples, want 10", c, n)
 		}

@@ -58,20 +58,6 @@ func RunCalibration(opts Options) (*CalibrationResult, error) {
 	return calibrateGrid.Run(opts)
 }
 
-// VictimAccuracies returns {train, test} accuracy per config name — the
-// map form of RunCalibration, kept for programmatic callers.
-func VictimAccuracies(opts Options) (map[string][2]float64, error) {
-	res, err := RunCalibration(opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][2]float64, len(res.Rows))
-	for _, row := range res.Rows {
-		out[row.Config.Name()] = [2]float64{row.TrainAccuracy, row.TestAccuracy}
-	}
-	return out, nil
-}
-
 // Tables formats the calibration as a table. Rows are sorted by config
 // name, matching the pre-engine CLI output.
 func (r *CalibrationResult) Tables() []*report.Table {

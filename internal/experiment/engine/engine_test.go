@@ -200,15 +200,6 @@ func TestSweepFloatsNonExactStep(t *testing.T) {
 	}
 }
 
-func TestSweepInts(t *testing.T) {
-	if got := SweepInts(1, 7, 2); !reflect.DeepEqual(got, []int{1, 3, 5, 7}) {
-		t.Fatalf("got %v", got)
-	}
-	if SweepInts(3, 1, 1) != nil {
-		t.Fatal("inverted range must yield nil")
-	}
-}
-
 func TestCrossProductRowMajor(t *testing.T) {
 	got := CrossProduct(2, 3)
 	want := [][]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}}

@@ -48,18 +48,6 @@ func SweepFloats(lo, hi, step float64) []float64 {
 	return out
 }
 
-// SweepInts returns {lo, lo+step, ..., <= hi}.
-func SweepInts(lo, hi, step int) []int {
-	if step <= 0 || hi < lo {
-		return nil
-	}
-	out := make([]int, 0, (hi-lo)/step+1)
-	for v := lo; v <= hi; v += step {
-		out = append(out, v)
-	}
-	return out
-}
-
 // CrossProduct enumerates the cross product of axis sizes in row-major
 // order (last axis fastest): the canonical cell order for regular
 // grids. Each returned coordinate vector is freshly allocated.

@@ -245,31 +245,3 @@ func TestFig5GridsFullScale(t *testing.T) {
 		t.Fatalf("grid must end at trainN: %v", qs)
 	}
 }
-
-func TestFig5BootstrapImprovement(t *testing.T) {
-	opts := Fig5Options{
-		Options:         Options{Seed: 9, Scale: 0.01, Runs: 3},
-		Queries:         []int{40},
-		Lambdas:         []float64{0, 0.01},
-		SurrogateEpochs: 6,
-	}
-	res, err := RunFig5(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
-	iv, err := row.BootstrapImprovement(1, 0, 0.95, testSrc(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := row.Improvement(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(d) {
-		t.Fatalf("bootstrap CI %+v must contain the point estimate %v", iv, d)
-	}
-	if _, err := row.BootstrapImprovement(0, 0, 0.95, testSrc(t, 1)); err == nil {
-		t.Fatal("li=0 must be rejected")
-	}
-}

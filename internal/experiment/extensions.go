@@ -121,14 +121,15 @@ var depthGrid = &engine.Grid[depthEnv, []int, DepthAblationRow, *DepthAblationRe
 					sens[j] += math.Abs(v)
 				}
 			}
-			// Deploy the MLP layer-per-array and extract the first
-			// layer's column signals from its power rail, exactly as the
-			// attacker would.
-			hw, err := crossbar.NewMLPNetwork(mlp, crossbar.DefaultDeviceConfig(), nil)
+			// Only the first layer's current factors into input-
+			// independent column norms, so program that layer alone and
+			// extract its column signals from the array's power rail,
+			// exactly as the attacker would.
+			xb, err := crossbar.Program(mlp.Layers[0], crossbar.DefaultDeviceConfig(), nil)
 			if err != nil {
 				return DepthAblationRow{}, err
 			}
-			probe, err := sidechannel.NewProbe(sidechannel.MeterFromCrossbar(hw.FirstLayerMeter()), 0, nil)
+			probe, err := sidechannel.NewProbe(sidechannel.MeterFromCrossbar(xb), 0, nil)
 			if err != nil {
 				return DepthAblationRow{}, err
 			}

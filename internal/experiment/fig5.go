@@ -347,17 +347,6 @@ func (r *Fig5Row) Improvement(li, qi int) (delta, pValue float64, err error) {
 	return delta, res.P, nil
 }
 
-// BootstrapImprovement is the nonparametric companion to Improvement: a
-// percentile-bootstrap confidence interval on Δ = mean(advAcc(λ=0)) −
-// mean(advAcc(λ)), for run counts too small to trust the t-test's
-// normality assumption.
-func (r *Fig5Row) BootstrapImprovement(li, qi int, level float64, src *rng.Source) (stats.Interval, error) {
-	if li <= 0 || li >= len(r.Lambdas) || qi < 0 || qi >= len(r.Queries) {
-		return stats.Interval{}, fmt.Errorf("experiment: improvement index (%d,%d) out of range", li, qi)
-	}
-	return stats.BootstrapDiffCI(r.OracleAdvAcc[0][qi], r.OracleAdvAcc[li][qi], level, 1000, src)
-}
-
 // panelTables builds one row's three Figure 5 panels: surrogate
 // accuracy, oracle adversarial accuracy, and the power-information
 // improvement with significance asterisks (p < 0.05). titlePrefix

@@ -195,31 +195,6 @@ func LeastSquares(a *tensor.Matrix, b []float64) ([]float64, error) {
 	return f.Solve(b)
 }
 
-// SolveMatrix solves AX = B in the least-squares sense column by column,
-// returning the n x k matrix X for A m x n and B m x k. B is transposed
-// once up front so each right-hand side is a contiguous row.
-func SolveMatrix(a, b *tensor.Matrix) (*tensor.Matrix, error) {
-	if a.Rows() != b.Rows() {
-		return nil, fmt.Errorf("linalg: SolveMatrix row mismatch %d vs %d", a.Rows(), b.Rows())
-	}
-	f, err := NewQR(a)
-	if err != nil {
-		return nil, err
-	}
-	bt := b.T()
-	x := tensor.New(a.Cols(), b.Cols())
-	for j := 0; j < b.Cols(); j++ {
-		xj, err := f.Solve(bt.Row(j))
-		if err != nil {
-			return nil, fmt.Errorf("linalg: column %d: %w", j, err)
-		}
-		for i, v := range xj {
-			x.Row(i)[j] = v
-		}
-	}
-	return x, nil
-}
-
 // PseudoInverse returns the Moore-Penrose pseudoinverse of a full-column-
 // rank matrix a (m x n, m >= n): A† = (AᵀA)⁻¹Aᵀ computed stably through
 // QR as R⁻¹Qᵀ. For m < n the pseudoinverse of the transpose is used,
@@ -250,27 +225,4 @@ func PseudoInverse(a *tensor.Matrix) (*tensor.Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// RidgeRegression returns x minimizing ||Ax-b||² + lambda||x||², solved
-// through the augmented least-squares system. lambda must be >= 0.
-func RidgeRegression(a *tensor.Matrix, b []float64, lambda float64) ([]float64, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("linalg: negative ridge penalty %v", lambda)
-	}
-	if lambda == 0 {
-		return LeastSquares(a, b)
-	}
-	m, n := a.Rows(), a.Cols()
-	aug := tensor.New(m+n, n)
-	for i := 0; i < m; i++ {
-		aug.SetRow(i, a.Row(i))
-	}
-	s := math.Sqrt(lambda)
-	for i := 0; i < n; i++ {
-		aug.Set(m+i, i, s)
-	}
-	rhs := make([]float64, m+n)
-	copy(rhs, b)
-	return LeastSquares(aug, rhs)
 }

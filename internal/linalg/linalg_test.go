@@ -172,46 +172,6 @@ func TestWeightRecoveryFromQueries(t *testing.T) {
 	}
 }
 
-func TestSolveMatrix(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	a := randMatrix(r, 6, 3)
-	xTrue := randMatrix(r, 3, 2)
-	b := a.MatMul(xTrue)
-	x, err := SolveMatrix(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(xTrue, 1e-8) {
-		t.Fatal("SolveMatrix failed to recover X")
-	}
-	if _, err := SolveMatrix(tensor.New(3, 2), tensor.New(4, 2)); err == nil {
-		t.Fatal("row mismatch must error")
-	}
-}
-
-func TestRidgeRegression(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	a := randMatrix(r, 10, 3)
-	b := make([]float64, 10)
-	for i := range b {
-		b[i] = r.NormFloat64()
-	}
-	x0, err := RidgeRegression(a, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xr, err := RidgeRegression(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tensor.Norm2(xr) >= tensor.Norm2(x0) {
-		t.Fatal("ridge penalty must shrink the solution norm")
-	}
-	if _, err := RidgeRegression(a, b, -1); err == nil {
-		t.Fatal("negative lambda must error")
-	}
-}
-
 // Property: least-squares residual is orthogonal to the column space.
 func TestResidualOrthogonality(t *testing.T) {
 	f := func(seed int64) bool {

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"xbarsec/internal/dataset"
 	"xbarsec/internal/tensor"
 )
 
@@ -37,25 +36,6 @@ func (n *Network) PredictBatch(x *tensor.Matrix) ([]int, error) {
 		out[i] = tensor.ArgMax(y.Row(i))
 	}
 	return out, nil
-}
-
-// AccuracyBatch computes top-1 accuracy over ds through the batched path.
-// It returns the same value as Accuracy.
-func (n *Network) AccuracyBatch(ds *dataset.Dataset) (float64, error) {
-	if ds.Len() == 0 {
-		return 0, dataset.ErrEmpty
-	}
-	preds, err := n.PredictBatch(ds.X)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, p := range preds {
-		if p == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len()), nil
 }
 
 // gradChunk bounds the pre-activation/delta workspace of the batched

@@ -151,61 +151,6 @@ func referenceTrainMLP(m *MLP, ds *dataset.Dataset, cfg TrainConfig, src *rng.So
 	return res
 }
 
-// referenceTrainAdam is the per-sample Adam loop exactly as shipped before
-// the batched rewrite (adam.go @ PR 1).
-func referenceTrainAdam(n *Network, ds *dataset.Dataset, cfg AdamConfig, src *rng.Source) *TrainResult {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		panic(err)
-	}
-	targets := ds.OneHot()
-	m1 := tensor.New(n.Outputs(), n.Inputs())
-	m2 := tensor.New(n.Outputs(), n.Inputs())
-	grad := tensor.New(n.Outputs(), n.Inputs())
-	res := &TrainResult{EpochLosses: make([]float64, 0, cfg.Epochs)}
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		perm := src.Perm(ds.Len())
-		var epochLoss float64
-		for start := 0; start < len(perm); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(perm) {
-				end = len(perm)
-			}
-			grad.Fill(0)
-			for _, idx := range perm[start:end] {
-				u := ds.X.Row(idx)
-				t := targets.Row(idx)
-				delta, y := referenceOutputDelta(n, u, t)
-				epochLoss += lossValue(n.Crit, y, t)
-				for i, d := range delta {
-					if d == 0 {
-						continue
-					}
-					row := grad.Row(i)
-					for j, uj := range u {
-						row[j] += d * uj
-					}
-				}
-			}
-			grad.Scale(1 / float64(end-start))
-			step++
-			bc1 := 1 - math.Pow(cfg.Beta1, float64(step))
-			bc2 := 1 - math.Pow(cfg.Beta2, float64(step))
-			gd, m1d, m2d, wd := grad.Data(), m1.Data(), m2.Data(), n.W.Data()
-			for k, g := range gd {
-				m1d[k] = cfg.Beta1*m1d[k] + (1-cfg.Beta1)*g
-				m2d[k] = cfg.Beta2*m2d[k] + (1-cfg.Beta2)*g*g
-				mhat := m1d[k] / bc1
-				vhat := m2d[k] / bc2
-				wd[k] -= cfg.LearningRate * mhat / (math.Sqrt(vhat) + cfg.Epsilon)
-			}
-		}
-		res.EpochLosses = append(res.EpochLosses, epochLoss/float64(ds.Len()))
-	}
-	return res
-}
-
 func equivDataset(t *testing.T, n int) *dataset.Dataset {
 	t.Helper()
 	ds, err := dataset.GenerateMNISTLike(rng.New(41), n, dataset.DefaultMNISTLikeConfig())
@@ -322,26 +267,6 @@ func TestTrainMLPMatchesPerSampleReference(t *testing.T) {
 			requireEquivVec(t, "epoch losses", gotRes.EpochLosses, refRes.EpochLosses)
 		})
 	}
-}
-
-// TestTrainAdamMatchesPerSampleReference pins the batched Adam trainer to
-// the old per-sample loop.
-func TestTrainAdamMatchesPerSampleReference(t *testing.T) {
-	ds := equivDataset(t, 45) // mini-batches of 32, 13
-	cfg := AdamConfig{Epochs: 3, BatchSize: 32, LearningRate: 1e-3}
-	refNet, err := NewNetwork(ds.NumClasses, ds.Dim(), ActSoftmax, LossCrossEntropy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refNet.InitXavier(rng.New(19))
-	gotNet := refNet.Clone()
-	refRes := referenceTrainAdam(refNet, ds, cfg, rng.New(23))
-	gotRes, err := TrainAdam(gotNet, ds, cfg, rng.New(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEquivMatrix(t, "weights", gotNet.W, refNet.W)
-	requireEquivVec(t, "epoch losses", gotRes.EpochLosses, refRes.EpochLosses)
 }
 
 // TestBatchStepAllocationFree pins the allocation contract of the batched

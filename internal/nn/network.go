@@ -284,14 +284,6 @@ func (n *Network) InputGradient(u, target []float64) []float64 {
 	return out
 }
 
-// WeightGradient returns ∂L/∂W = δ uᵀ as an outputs x inputs matrix.
-func (n *Network) WeightGradient(u, target []float64) *tensor.Matrix {
-	delta, _ := n.outputDelta(u, target)
-	g := tensor.New(n.Outputs(), n.Inputs())
-	tensor.AddOuterInto(g, delta, u)
-	return g
-}
-
 // Accuracy returns the top-1 accuracy of the network on ds.
 func (n *Network) Accuracy(ds *dataset.Dataset) float64 {
 	if ds.Len() == 0 {
@@ -304,20 +296,6 @@ func (n *Network) Accuracy(ds *dataset.Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(ds.Len())
-}
-
-// MeanLoss returns the mean loss of the network over ds with one-hot
-// targets.
-func (n *Network) MeanLoss(ds *dataset.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	oh := ds.OneHot()
-	var s float64
-	for i := 0; i < ds.Len(); i++ {
-		s += n.LossValue(ds.X.Row(i), oh.Row(i))
-	}
-	return s / float64(ds.Len())
 }
 
 // MeanAbsInputGradient returns the per-input mean of |∂L/∂u_j| over ds —

@@ -27,12 +27,6 @@ type TrainConfig struct {
 	ZeroInit bool
 }
 
-// DefaultTrainConfig returns the settings used by the experiments, sized
-// for the single-layer networks of the paper.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 30, BatchSize: 32, LearningRate: 0.05, Momentum: 0.9}
-}
-
 // TrainResult reports the trajectory of a training run.
 type TrainResult struct {
 	// EpochLosses holds the mean training loss after each epoch.

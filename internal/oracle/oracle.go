@@ -404,24 +404,3 @@ func (o *Oracle) AccuracyOn(ds *dataset.Dataset) (float64, error) {
 	}
 	return float64(correct) / float64(ds.Len()), nil
 }
-
-// AccuracyOnPerturbed evaluates oracle accuracy when each test input is
-// perturbed by perturb before classification (the adversarial test
-// accuracy of Figures 4 and 5).
-func (o *Oracle) AccuracyOnPerturbed(ds *dataset.Dataset, perturb func(i int, u []float64) []float64) (float64, error) {
-	if ds.Len() == 0 {
-		return 0, dataset.ErrEmpty
-	}
-	correct := 0
-	for i := 0; i < ds.Len(); i++ {
-		u := perturb(i, tensor.CloneVec(ds.X.Row(i)))
-		label, err := o.hw.Predict(u)
-		if err != nil {
-			return 0, err
-		}
-		if label == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len()), nil
-}

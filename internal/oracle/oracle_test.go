@@ -191,36 +191,6 @@ func TestAccuracyMatchesSoftwareTwin(t *testing.T) {
 	}
 }
 
-func TestAccuracyOnPerturbed(t *testing.T) {
-	o, _, ds := buildOracle(t, 9, LabelOnly, false)
-	clean, err := o.AccuracyOn(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := o.AccuracyOnPerturbed(ds, func(_ int, u []float64) []float64 { return u })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != clean {
-		t.Fatal("identity perturbation must preserve accuracy")
-	}
-	zeroed, err := o.AccuracyOnPerturbed(ds, func(_ int, u []float64) []float64 {
-		for j := range u {
-			u[j] = 0
-		}
-		return u
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zeroed > clean {
-		t.Fatalf("zeroing all pixels should not improve accuracy: %v > %v", zeroed, clean)
-	}
-	empty := &dataset.Dataset{X: ds.X.Clone(), Labels: nil, NumClasses: 10, Width: ds.Width, Height: ds.Height, Channels: 1}
-	empty.X = empty.X.Clone()
-	_ = empty
-}
-
 func TestPowerNoiseApplied(t *testing.T) {
 	_, net, ds := buildOracle(t, 10, RawOutput, true)
 	cfg := crossbar.DefaultDeviceConfig()

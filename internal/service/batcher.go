@@ -69,15 +69,15 @@ func (b *batcher) notePeak(depth int64) {
 	}
 }
 
-// newBatcher starts the flusher for hw. depth bounds how many requests
-// can queue while a flush is in progress.
-func newBatcher(hw *crossbar.Network, depth int) *batcher {
-	if depth <= 0 {
-		depth = 256
-	}
+// queueDepth bounds how many requests can queue for one victim while a
+// flush is in progress; further submits block until the flusher drains.
+const queueDepth = 256
+
+// newBatcher starts the flusher for hw.
+func newBatcher(hw *crossbar.Network) *batcher {
 	b := &batcher{
 		hw:   hw,
-		reqs: make(chan *batchRequest, depth),
+		reqs: make(chan *batchRequest, queueDepth),
 		stop: make(chan struct{}),
 		exit: make(chan struct{}),
 	}

@@ -72,16 +72,33 @@ type CampaignResult = api.CampaignResult
 // across Config.Workers via the deterministic pool. In a cluster the
 // victim's ring owner serves all of its campaigns; other nodes redirect.
 func (s *Service) RunCampaign(spec CampaignSpec) (*CampaignResult, error) {
+	if err := spec.check(); err != nil {
+		return nil, err
+	}
 	if err := s.routeVictim(spec.Victim); err != nil {
 		return nil, err
 	}
 	return s.runCampaignJob(spec)
 }
 
-// runCampaignJob is RunCampaign minus ring admission — the journal
-// replay path (drainPendingSync) takes it, because a journaled job is
-// this node's to finish regardless of membership changes across the
-// restart.
+// check rejects the spec fields that need no victim. RunCampaign runs it
+// before ring admission, so in a cluster the first node to see a
+// malformed spec refuses it instead of redirecting it to the owner.
+func (c CampaignSpec) check() error {
+	if c.Queries <= 0 {
+		return badRequestf("service: campaign query budget %d must be positive", c.Queries)
+	}
+	switch c.Mode {
+	case oracle.LabelOnly, oracle.RawOutput:
+		return nil
+	}
+	return badRequestf("service: unknown disclosure mode %v", c.Mode)
+}
+
+// runCampaignJob is RunCampaign minus ring admission and the spec check
+// — the journal replay path (drainPendingSync) takes it, because a
+// journaled job passed the check at launch and is this node's to finish
+// regardless of membership changes across the restart.
 func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
 	if s.isClosed() {
 		return nil, ErrServiceClosed
@@ -92,15 +109,7 @@ func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
 		return nil, err
 	}
 	if v.train == nil || v.test == nil {
-		return nil, fmt.Errorf("service: victim %q has no data splits for campaigns", v.name)
-	}
-	if spec.Queries <= 0 {
-		return nil, fmt.Errorf("service: campaign query budget %d must be positive", spec.Queries)
-	}
-	switch spec.Mode {
-	case oracle.LabelOnly, oracle.RawOutput:
-	default:
-		return nil, fmt.Errorf("service: unknown disclosure mode %v", spec.Mode)
+		return nil, badRequestf("service: victim %q has no data splits for campaigns", v.name)
 	}
 	compute := func() (*CampaignResult, error) {
 		var res *CampaignResult
@@ -282,13 +291,18 @@ func (m probeMeter) Inputs() int                        { return m.c.Inputs() }
 // RunExtract executes (or serves from cache) one extraction job. In a
 // cluster the victim's ring owner serves it; other nodes redirect.
 func (s *Service) RunExtract(spec ExtractSpec) (*ExtractResult, error) {
+	// Checked before ring admission, like CampaignSpec.check.
+	if spec.NoiseStd < 0 {
+		return nil, badRequestf("service: negative probe noise %v", spec.NoiseStd)
+	}
 	if err := s.routeVictim(spec.Victim); err != nil {
 		return nil, err
 	}
 	return s.runExtractJob(spec)
 }
 
-// runExtractJob is RunExtract minus ring admission (see runCampaignJob).
+// runExtractJob is RunExtract minus ring admission and the noise check
+// (see runCampaignJob).
 func (s *Service) runExtractJob(spec ExtractSpec) (*ExtractResult, error) {
 	if s.isClosed() {
 		return nil, ErrServiceClosed
@@ -297,9 +311,6 @@ func (s *Service) runExtractJob(spec ExtractSpec) (*ExtractResult, error) {
 	v, err := s.Victim(spec.Victim)
 	if err != nil {
 		return nil, err
-	}
-	if spec.NoiseStd < 0 {
-		return nil, fmt.Errorf("service: negative probe noise %v", spec.NoiseStd)
 	}
 	compute := func() (*ExtractResult, error) {
 		var res *ExtractResult

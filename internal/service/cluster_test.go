@@ -232,6 +232,26 @@ func TestClusterSessionRouting(t *testing.T) {
 	if got := nodes[wrong].Stats().Campaigns; got != 0 {
 		t.Fatalf("wrong node served %d campaigns, want 0", got)
 	}
+
+	// A spec malformed without looking at the victim is refused by the
+	// node that receives it, not redirected to the owner first.
+	for path, body := range map[string]string{
+		"/campaigns": `{"victim":"mnist-toy","mode":"label-only","queries":0}`,
+		"/extract":   `{"victim":"mnist-toy","noise_std":-1}`,
+	} {
+		resp, err := http.Post(members[wrong].URL+api.PathPrefix+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope api.Error
+		if err := decodeBody(resp, &envelope); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || envelope.Code != api.CodeBadRequest {
+			t.Fatalf("%s at the wrong node: status %d envelope %+v, want 400 %s",
+				path, resp.StatusCode, envelope, api.CodeBadRequest)
+		}
+	}
 }
 
 // TestClusterPeerFetchVerified pins the artifact exchange: a node that

@@ -458,10 +458,6 @@ func (s *Service) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequestf("%v", err))
 		return
 	}
-	if req.Queries <= 0 {
-		writeError(w, badRequestf("query budget %d must be positive", req.Queries))
-		return
-	}
 	res, err := s.RunCampaign(CampaignSpec{
 		Victim:          req.Victim,
 		Mode:            mode,
@@ -482,10 +478,6 @@ func (s *Service) handleExtract(w http.ResponseWriter, r *http.Request) {
 	var spec api.ExtractRequest
 	if err := decodeJSON(w, r, &spec); err != nil {
 		writeError(w, err)
-		return
-	}
-	if spec.NoiseStd < 0 {
-		writeError(w, badRequestf("negative probe noise %v", spec.NoiseStd))
 		return
 	}
 	res, err := s.RunExtract(spec)

@@ -150,6 +150,44 @@ func TestHTTPValidationAndErrors(t *testing.T) {
 	_ = v
 }
 
+// TestHTTPCampaignExtractBadRequest pins the job-spec checks to a typed
+// 400 on the wire. They live in the service, not the handlers, so a
+// spec the handler does not look at (a session-only victim) is still a
+// bad request, never an internal error.
+func TestHTTPCampaignExtractBadRequest(t *testing.T) {
+	v := buildTestVictim(t, "mnist-toy", 11)
+	donor := buildTestVictim(t, "donor", 12)
+	bare, err := NewVictim("bare", donor.net, donor.hw, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, Config{Seed: 11, Workers: 2}, v, bare)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	cases := []struct {
+		name, path, body string
+	}{
+		{"session-only victim", "/campaigns", `{"victim":"bare","mode":"label-only","queries":10}`},
+		{"zero queries", "/campaigns", `{"victim":"mnist-toy","mode":"label-only","queries":0}`},
+		{"negative noise", "/extract", `{"victim":"mnist-toy","noise_std":-1}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+api.PathPrefix+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelope api.Error
+			if err := decodeBody(resp, &envelope); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || envelope.Code != api.CodeBadRequest {
+				t.Fatalf("status %d envelope %+v, want 400 %s", resp.StatusCode, envelope, api.CodeBadRequest)
+			}
+		})
+	}
+}
+
 func TestHTTPVersion(t *testing.T) {
 	c, _, _ := httpFixture(t)
 	v, err := c.Version(context.Background())

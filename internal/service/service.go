@@ -45,19 +45,14 @@ type Config struct {
 	// MaxConcurrentJobs caps campaign/extraction jobs running at once
 	// (0 = all runnable procs).
 	MaxConcurrentJobs int
-	// QueueDepth bounds each victim's coalescer queue (0 = 256).
-	QueueDepth int
 	// DefaultSessionBudget applies when a session is opened with
 	// Budget == 0 (0 here means 10000).
 	DefaultSessionBudget int
-	// MaxCachedArtifacts bounds the artifact cache; the oldest completed
-	// artifacts are evicted FIFO beyond it (0 = 4096).
-	MaxCachedArtifacts int
 	// MaxCachedArtifactBytes bounds the artifact cache's approximate
 	// resident bytes (0 = 256 MiB); the oldest artifacts are evicted
-	// beyond it. The entry bound alone cannot protect the cache from
-	// unevenly sized artifacts — a full-scale experiment render is
-	// megabytes while a campaign result is bytes.
+	// beyond it. The fixed entry bound (maxCachedArtifacts) alone cannot
+	// protect the cache from unevenly sized artifacts — a full-scale
+	// experiment render is megabytes while a campaign result is bytes.
 	MaxCachedArtifactBytes int64
 	// SessionTTL evicts sessions idle longer than this (0 = sessions
 	// never expire). A background janitor sweeps at TTL/4 granularity;
@@ -128,6 +123,10 @@ type Service struct {
 	janitorCh    chan struct{} // closed on Close to stop the session janitor
 }
 
+// maxCachedArtifacts bounds the artifact cache's entry count; the
+// oldest completed artifacts are evicted FIFO beyond it.
+const maxCachedArtifacts = 4096
+
 // artifactWeight approximates one cached artifact's resident bytes for
 // the cache's byte budget: the dominant payloads (an experiment's
 // render and JSON, an extraction's signal slices) plus a fixed
@@ -158,7 +157,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:         cfg,
 		root:        rng.New(cfg.Seed).Split("service"),
-		cache:       memo.NewWeighted[any](cfg.MaxCachedArtifacts, cfg.MaxCachedArtifactBytes, artifactWeight),
+		cache:       memo.NewWeighted[any](maxCachedArtifacts, cfg.MaxCachedArtifactBytes, artifactWeight),
 		gate:        pool.NewGate(cfg.MaxConcurrentJobs),
 		jobs:        newJobTable(cfg.MaxExperimentJobs),
 		pendingSync: map[string][]journalRecord{},
@@ -233,7 +232,7 @@ func (s *Service) Register(v *Victim) error {
 	if v.batcher != nil {
 		return fmt.Errorf("service: victim %q already attached to a service", v.name)
 	}
-	v.batcher = newBatcher(v.hw, s.cfg.QueueDepth)
+	v.batcher = newBatcher(v.hw)
 	if !s.victims.put(v.name, v) {
 		v.batcher.close()
 		v.batcher = nil

@@ -398,7 +398,11 @@ func TestExtractResultIsCallerOwned(t *testing.T) {
 
 func TestArtifactCacheBounded(t *testing.T) {
 	v := buildTestVictim(t, "m", 13)
-	s := newTestService(t, Config{Seed: 13, MaxCachedArtifacts: 3}, v)
+	// Every extraction of one victim weighs the same, so a byte budget
+	// of three such artifacts retains at most three.
+	n := v.hw.Inputs()
+	one := artifactWeight(&ExtractResult{Signals: make([]float64, n), Norms: make([]float64, n)})
+	s := newTestService(t, Config{Seed: 13, MaxCachedArtifactBytes: 3 * one}, v)
 	for seed := int64(1); seed <= 6; seed++ {
 		if _, err := s.RunExtract(ExtractSpec{Victim: "m", NoiseStd: 0.01, Seed: seed}); err != nil {
 			t.Fatal(err)

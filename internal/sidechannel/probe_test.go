@@ -213,23 +213,6 @@ func TestHillClimbValidation(t *testing.T) {
 	}
 }
 
-func TestExhaustiveSearchMatchesArgmaxOnCrossbar(t *testing.T) {
-	cfg := idealCfg()
-	xb, w := buildCrossbar(t, 7, 6, 16, cfg)
-	probe, _ := NewProbe(MeterFromCrossbar(xb), 0, nil)
-	res, err := ExhaustiveMaxSearch(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tensor.ArgMax(w.ColAbsSums())
-	if res.Index != want {
-		t.Fatalf("exhaustive found %d, want %d", res.Index, want)
-	}
-	if res.Queries != 16 {
-		t.Fatalf("queries = %d, want 16", res.Queries)
-	}
-}
-
 func TestHillClimbOnCrossbarBeatsQueryBudget(t *testing.T) {
 	// Build a crossbar whose column 1-norms form a smooth 2D bump, as the
 	// paper observes for MNIST.
@@ -341,83 +324,4 @@ func TestEstimateColumnSignalsLSValidation(t *testing.T) {
 	if _, err := probe.EstimateColumnSignalsLS(tensor.New(8, 5)); err == nil {
 		t.Fatal("wrong width must error")
 	}
-}
-
-func TestAnnealFindsPeakOnSmoothMap(t *testing.T) {
-	meter := smoothMeter{w: 20, h: 20, peakX: 4, peakY: 15, spread: 6}
-	probe, err := NewProbe(meter, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AnnealMaxSearch(probe, AnnealConfig{Width: 20, Height: 20, Steps: 200}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Annealing should land at (or adjacent to) the true peak and beat
-	// the exhaustive budget.
-	px, py := res.Index%20, res.Index/20
-	if abs(px-4)+abs(py-15) > 2 {
-		t.Fatalf("anneal found (%d,%d), peak at (4,15)", px, py)
-	}
-	if res.Queries >= 400 {
-		t.Fatalf("anneal used %d queries, exhaustive needs 400", res.Queries)
-	}
-}
-
-func TestAnnealValidation(t *testing.T) {
-	meter := smoothMeter{w: 4, h: 4, spread: 2}
-	probe, _ := NewProbe(meter, 0, nil)
-	if _, err := AnnealMaxSearch(probe, AnnealConfig{Width: 0, Height: 4}, rng.New(1)); err == nil {
-		t.Fatal("zero width must error")
-	}
-	if _, err := AnnealMaxSearch(probe, AnnealConfig{Width: 3, Height: 3}, rng.New(1)); err == nil {
-		t.Fatal("incompatible geometry must error")
-	}
-	if _, err := AnnealMaxSearch(probe, AnnealConfig{Width: 4, Height: 4}, nil); err == nil {
-		t.Fatal("nil src must error")
-	}
-}
-
-// bimodalMeter has a small local bump and a larger global peak, so greedy
-// climbing from the wrong basin stalls while annealing can escape.
-type bimodalMeter struct{ w, h int }
-
-func (m bimodalMeter) Inputs() int { return m.w * m.h }
-func (m bimodalMeter) Power(u []float64) (float64, error) {
-	idx := tensor.ArgMax(u)
-	x, y := float64(idx%m.w), float64(idx/m.w)
-	small := 0.6 * math.Exp(-((x-3)*(x-3)+(y-3)*(y-3))/4)
-	big := 1.0 * math.Exp(-((x-16)*(x-16)+(y-16)*(y-16))/4)
-	return small + big + 1e-6, nil
-}
-
-func TestAnnealEscapesLocalMaximum(t *testing.T) {
-	meter := bimodalMeter{w: 20, h: 20}
-	probe, err := NewProbe(meter, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Average over a few seeds: annealing should usually reach the global
-	// peak's value.
-	hits := 0
-	const trials = 5
-	for s := int64(0); s < trials; s++ {
-		res, err := AnnealMaxSearch(probe, AnnealConfig{Width: 20, Height: 20, Steps: 300}, rng.New(100+s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Signal > 0.8 {
-			hits++
-		}
-	}
-	if hits < 3 {
-		t.Fatalf("annealing found the global peak in only %d/%d trials", hits, trials)
-	}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

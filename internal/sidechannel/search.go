@@ -2,7 +2,6 @@ package sidechannel
 
 import (
 	"fmt"
-	"math"
 
 	"xbarsec/internal/rng"
 	"xbarsec/internal/tensor"
@@ -12,8 +11,8 @@ import (
 // signal. The paper's Section III notes that when the 1-norm map is
 // smooth over pixel locations (MNIST) the maximum could be found with far
 // fewer than N queries, while rapidly-varying maps (CIFAR-10) resist such
-// search. These strategies make that trade-off measurable (ablation A2 in
-// DESIGN.md).
+// search. Hill climbing makes that trade-off measurable against the
+// N-query basis extraction (ablation A2 in DESIGN.md).
 
 // SearchResult reports where a search strategy believes the largest
 // column signal lies and what it cost.
@@ -25,17 +24,6 @@ type SearchResult struct {
 	Signal float64
 	// Queries is the number of power measurements consumed.
 	Queries int
-}
-
-// ExhaustiveMaxSearch measures every basis input and returns the argmax —
-// the N-query baseline the paper's attack uses.
-func ExhaustiveMaxSearch(p *Probe) (SearchResult, error) {
-	signals, err := p.ExtractColumnSignals(1)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	idx := tensor.ArgMax(signals)
-	return SearchResult{Index: idx, Signal: signals[idx], Queries: len(signals)}, nil
 }
 
 // HillClimbConfig controls the greedy spatial search.
@@ -126,106 +114,6 @@ func HillClimbMaxSearch(p *Probe, cfg HillClimbConfig, src *rng.Source) (SearchR
 		if best.Index < 0 || curVal > best.Signal {
 			best = SearchResult{Index: cur, Signal: curVal}
 		}
-	}
-	best.Queries = queries
-	return best, nil
-}
-
-// AnnealConfig controls the simulated-annealing search.
-type AnnealConfig struct {
-	// Width and Height give the image geometry (see HillClimbConfig).
-	Width, Height int
-	// Steps is the annealing schedule length (default 4·(Width+Height)).
-	Steps int
-	// StartTemp is the initial acceptance temperature relative to the
-	// first measured signal (default 0.5).
-	StartTemp float64
-}
-
-// AnnealMaxSearch searches the power landscape by simulated annealing:
-// random jumps of geometrically shrinking radius, accepting downhill
-// moves with Boltzmann probability. It is the "standard optimization
-// technique" alternative the paper's §III sketches; unlike hill climbing
-// it can escape local maxima on moderately rough maps, at the cost of
-// more queries.
-func AnnealMaxSearch(p *Probe, cfg AnnealConfig, src *rng.Source) (SearchResult, error) {
-	n := p.Inputs()
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return SearchResult{}, fmt.Errorf("sidechannel: invalid geometry %dx%d", cfg.Width, cfg.Height)
-	}
-	plane := cfg.Width * cfg.Height
-	if plane > n || n%plane != 0 {
-		return SearchResult{}, fmt.Errorf("sidechannel: geometry %dx%d incompatible with %d inputs", cfg.Width, cfg.Height, n)
-	}
-	if src == nil {
-		return SearchResult{}, fmt.Errorf("sidechannel: annealing requires a random source")
-	}
-	channels := n / plane
-	if cfg.Steps <= 0 {
-		cfg.Steps = 4 * (cfg.Width + cfg.Height)
-	}
-	if cfg.StartTemp <= 0 {
-		cfg.StartTemp = 0.5
-	}
-
-	cache := make(map[int]float64, cfg.Steps)
-	var queries int
-	measure := func(idx int) (float64, error) {
-		if v, ok := cache[idx]; ok {
-			return v, nil
-		}
-		v, err := p.Measure(tensor.Basis(n, idx, 1))
-		if err != nil {
-			return 0, err
-		}
-		queries++
-		cache[idx] = v
-		return v, nil
-	}
-
-	ch := src.Intn(channels)
-	x, y := src.Intn(cfg.Width), src.Intn(cfg.Height)
-	cur := ch*plane + y*cfg.Width + x
-	curVal, err := measure(cur)
-	if err != nil {
-		return SearchResult{}, err
-	}
-	best := SearchResult{Index: cur, Signal: curVal}
-	temp := cfg.StartTemp * math.Max(curVal, 1e-30)
-	cool := math.Pow(1e-3, 1/float64(cfg.Steps)) // end at 0.1% of start
-	maxRadius := float64(cfg.Width+cfg.Height) / 2
-	for step := 0; step < cfg.Steps; step++ {
-		frac := float64(step) / float64(cfg.Steps)
-		radius := int(maxRadius*(1-frac)) + 1
-		px, py := (cur%plane)%cfg.Width, (cur%plane)/cfg.Width
-		nx := px + src.Intn(2*radius+1) - radius
-		ny := py + src.Intn(2*radius+1) - radius
-		if nx < 0 {
-			nx = 0
-		} else if nx >= cfg.Width {
-			nx = cfg.Width - 1
-		}
-		if ny < 0 {
-			ny = 0
-		} else if ny >= cfg.Height {
-			ny = cfg.Height - 1
-		}
-		cand := (cur/plane)*plane + ny*cfg.Width + nx
-		candVal, err := measure(cand)
-		if err != nil {
-			return SearchResult{}, err
-		}
-		accept := candVal >= curVal
-		if !accept && temp > 0 {
-			accept = src.Float64() < math.Exp((candVal-curVal)/temp)
-		}
-		if accept {
-			cur, curVal = cand, candVal
-		}
-		if curVal > best.Signal {
-			best = SearchResult{Index: cur, Signal: curVal}
-		}
-		temp *= cool
 	}
 	best.Queries = queries
 	return best, nil

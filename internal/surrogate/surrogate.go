@@ -56,13 +56,6 @@ type Model struct {
 	Net *nn.Network
 }
 
-// PredictPower returns the surrogate's power prediction in normalized
-// (weight-unit) form, p̂(u) = Σ_j u_j Σ_i |ŵ_ij| — the differentiable
-// model of Eq. (5)/(6) under the paper's normalized-crossbar convention.
-func (m *Model) PredictPower(u []float64) float64 {
-	return tensor.Dot(u, m.Net.W.ColAbsSums())
-}
-
 // Train fits a surrogate to the query set. The power term is active only
 // when cfg.Lambda > 0 and qs.P is present.
 func Train(qs *oracle.QuerySet, cfg Config, src *rng.Source) (*Model, error) {

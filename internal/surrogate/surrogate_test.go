@@ -162,12 +162,14 @@ func TestPowerPredictionTracksOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Predicted power should correlate with measured power on the
-	// training queries.
+	// Predicted power, p̂(u) = Σ_j u_j Σ_i |ŵ_ij| (Eq. 5/6 in normalized
+	// units), should correlate with measured power on the training
+	// queries.
+	colNorms := model.Net.W.ColAbsSums()
 	pred := make([]float64, qs.Len())
 	meas := make([]float64, qs.Len())
 	for i := 0; i < qs.Len(); i++ {
-		pred[i] = model.PredictPower(qs.U.Row(i))
+		pred[i] = tensor.Dot(qs.U.Row(i), colNorms)
 		meas[i] = qs.P[i]
 	}
 	corr, err := stats.Pearson(pred, meas)

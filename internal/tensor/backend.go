@@ -46,7 +46,6 @@ type Backend interface {
 	GemmTB(dst, a, b *Matrix)
 	MatVecInto(dst []float64, m *Matrix, x []float64)
 	VecMatInto(dst []float64, x []float64, m *Matrix)
-	AddOuterInto(dst *Matrix, x, y []float64)
 	SGDMomentumStep(w, v, g *Matrix, mu, gs float64, decay bool, ws float64)
 }
 
@@ -122,10 +121,6 @@ func (referenceBackend) MatVecInto(dst []float64, m *Matrix, x []float64) {
 
 func (referenceBackend) VecMatInto(dst []float64, x []float64, m *Matrix) {
 	vecMatCols(dst, x, m, 0, m.cols)
-}
-
-func (referenceBackend) AddOuterInto(dst *Matrix, x, y []float64) {
-	addOuterRows(dst, x, y, 0, len(x))
 }
 
 func (referenceBackend) SGDMomentumStep(w, v, g *Matrix, mu, gs float64, decay bool, ws float64) {

@@ -4,15 +4,15 @@ import "xbarsec/internal/pool"
 
 // The fast backend. Three techniques, two contracts:
 //
-//  1. Partitioned parallelism (all seven kernels): destination rows /
+//  1. Partitioned parallelism (all six kernels): destination rows /
 //     columns / flat spans are split into one contiguous range per worker.
 //     Every destination element is owned by exactly one range, so the
 //     partition never changes what is computed for an element — for a
 //     fixed input the fast backend returns identical bits at every worker
 //     count.
 //
-//  2. Bit-exact kernels (VecMatInto, AddOuterInto, SGDMomentumStep):
-//     each range runs the same reference kernel, so these three are
+//  2. Bit-exact kernels (VecMatInto, SGDMomentumStep): each range
+//     runs the same reference kernel, so these two are
 //     byte-for-byte identical to Reference().
 //
 //  3. Unrolled/fused kernels (Gemm, GemmTB, MatVecInto, GemmTA): the
@@ -188,19 +188,6 @@ func (f *fastBackend) VecMatInto(dst []float64, x []float64, m *Matrix) {
 	}
 	pool.Do(w, w, func(p int) {
 		vecMatCols(dst, x, m, p*cols/w, (p+1)*cols/w)
-	})
-}
-
-//xbar:hotpath
-func (f *fastBackend) AddOuterInto(dst *Matrix, x, y []float64) {
-	rows := len(x)
-	w := f.split(rows, rows*len(y))
-	if w == 1 {
-		addOuterRows(dst, x, y, 0, rows)
-		return
-	}
-	pool.Do(w, w, func(p int) {
-		addOuterRows(dst, x, y, p*rows/w, (p+1)*rows/w)
 	})
 }
 

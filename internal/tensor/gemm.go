@@ -319,32 +319,6 @@ func vecMatCols(dst []float64, x []float64, m *Matrix, j0, j1 int) {
 	}
 }
 
-// AddOuterInto accumulates the outer product dst += x·yᵀ in place, the
-// single-sample weight-gradient update. dst must be len(x) x len(y).
-//
-//xbar:hotpath
-func AddOuterInto(dst *Matrix, x, y []float64) {
-	if dst.rows != len(x) || dst.cols != len(y) {
-		panic(fmt.Sprintf("tensor: AddOuterInto %dx%d by %d outer %d", dst.rows, dst.cols, len(x), len(y)))
-	}
-	Active().AddOuterInto(dst, x, y)
-}
-
-// addOuterRows runs the outer-product update for destination rows
-// [i0, i1); each row is touched by exactly one partition.
-func addOuterRows(dst *Matrix, x, y []float64, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j, yj := range y {
-			row[j] += xi * yj
-		}
-	}
-}
-
 // SGDMomentumStep performs the classical momentum update in one fused
 // sweep: v ← µ·v + gs·g (+ ws·w when decay), then w ← w + v. The
 // per-element operation sequence is exactly Scale + AddScaled (+

@@ -57,10 +57,19 @@ func TestGemmTAMatchesPerSampleOuterSum(t *testing.T) {
 		a := randMatrix(r, k, m) // e.g. batch of deltas
 		b := randMatrix(r, k, n) // e.g. batch of inputs
 		// Reference: the per-sample accumulation order of the old training
-		// loops — samples outer, in increasing order.
+		// loops — samples outer, in increasing order, each adding the
+		// outer product a_s·b_sᵀ.
 		want := New(m, n)
 		for s := 0; s < k; s++ {
-			AddOuterInto(want, a.Row(s), b.Row(s))
+			for i, ai := range a.Row(s) {
+				if ai == 0 {
+					continue
+				}
+				row := want.Row(i)
+				for j, bj := range b.Row(s) {
+					row[j] += ai * bj
+				}
+			}
 		}
 		dst := New(m, n)
 		dst.Fill(math.NaN())
@@ -121,18 +130,6 @@ func TestVecMatIntoMatchesVecMat(t *testing.T) {
 	}
 }
 
-func TestAddOuterInto(t *testing.T) {
-	x := []float64{2, 0, -1}
-	y := []float64{1, 3}
-	dst := New(3, 2)
-	dst.Set(0, 0, 10)
-	AddOuterInto(dst, x, y)
-	want := []float64{12, 6, 0, 0, -1, -3}
-	if !bitsEqual(dst.Data(), want) {
-		t.Fatalf("AddOuterInto got %v want %v", dst.Data(), want)
-	}
-}
-
 func TestRowSpanSharesBacking(t *testing.T) {
 	m := New(4, 3)
 	v := m.RowSpan(1, 3)
@@ -168,12 +165,11 @@ func TestCopyRow(t *testing.T) {
 func TestGemmShapePanics(t *testing.T) {
 	a, b := New(2, 3), New(4, 5)
 	for name, f := range map[string]func(){
-		"Gemm":         func() { Gemm(New(2, 5), a, b) },
-		"GemmTA":       func() { GemmTA(New(3, 5), a, b) },
-		"GemmTB":       func() { GemmTB(New(2, 4), a, b) },
-		"MatVecInto":   func() { MatVecInto(make([]float64, 2), a, make([]float64, 4)) },
-		"VecMatInto":   func() { VecMatInto(make([]float64, 3), make([]float64, 4), a) },
-		"AddOuterInto": func() { AddOuterInto(a, make([]float64, 3), make([]float64, 3)) },
+		"Gemm":       func() { Gemm(New(2, 5), a, b) },
+		"GemmTA":     func() { GemmTA(New(3, 5), a, b) },
+		"GemmTB":     func() { GemmTB(New(2, 4), a, b) },
+		"MatVecInto": func() { MatVecInto(make([]float64, 2), a, make([]float64, 4)) },
+		"VecMatInto": func() { VecMatInto(make([]float64, 3), make([]float64, 4), a) },
 	} {
 		func() {
 			defer func() {
@@ -198,12 +194,11 @@ func TestKernelsAllocationFree(t *testing.T) {
 	vel := New(16, 10)
 	gsg := New(16, 10)
 	for name, f := range map[string]func(){
-		"Gemm":         func() { Gemm(dst, a, bt) },
-		"GemmTA":       func() { GemmTA(dstTA, a, a) },
-		"GemmTB":       func() { GemmTB(dst, a, b) },
-		"MatVecInto":   func() { MatVecInto(vm, dstTA, x) },
-		"VecMatInto":   func() { VecMatInto(vm, mv, a) },
-		"AddOuterInto": func() { AddOuterInto(dst, mv, bt.Row(0)) },
+		"Gemm":       func() { Gemm(dst, a, bt) },
+		"GemmTA":     func() { GemmTA(dstTA, a, a) },
+		"GemmTB":     func() { GemmTB(dst, a, b) },
+		"MatVecInto": func() { MatVecInto(vm, dstTA, x) },
+		"VecMatInto": func() { VecMatInto(vm, mv, a) },
 		"SGDMomentumStep": func() {
 			SGDMomentumStep(dst, vel, gsg, 0.9, -0.01, true, -0.001)
 		},

@@ -2,8 +2,10 @@ package wal_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -256,4 +258,71 @@ func TestAtomicGeneration(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("tmp file survived commit: %v", err)
 	}
+}
+
+// bytesFS serves data as the content of every file it opens, so the
+// fuzz target replays from memory rather than disk. Replay only opens
+// and reads; the embedded OSFS supplies the rest of the interface.
+type bytesFS struct {
+	wal.OSFS
+	data []byte
+}
+
+func (b bytesFS) OpenFile(string, int, os.FileMode) (wal.File, error) {
+	return bytesFile{bytes.NewReader(b.data)}, nil
+}
+
+type bytesFile struct{ *bytes.Reader }
+
+func (bytesFile) Write([]byte) (int, error) { return 0, errors.New("read-only") }
+func (bytesFile) Close() error              { return nil }
+func (bytesFile) Sync() error               { return nil }
+
+// FuzzWALReplay replays arbitrary bytes as a journal. Replay never
+// panics; each record it yields is the next frame of the input, under
+// a CRC-32C that matches its payload; and it stops at the first frame
+// that is short, oversized or fails its CRC, yielding nothing after it
+// and reporting Torn.
+func FuzzWALReplay(f *testing.F) {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	const header = 8
+	// intact reports whether rest starts with a complete frame whose
+	// payload matches its CRC.
+	intact := func(rest []byte) bool {
+		if len(rest) < header {
+			return false
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		return n <= wal.MaxRecordBytes && uint64(len(rest)-header) >= uint64(n) &&
+			crc32.Checksum(rest[header:header+int(n)], castagnoli) == binary.LittleEndian.Uint32(rest[4:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		off, yielded := 0, 0
+		st, err := wal.Replay(bytesFS{data: data}, "log.wal", func(rec []byte) error {
+			if !intact(data[off:]) {
+				t.Fatalf("record %d yielded from the bad frame at offset %d", yielded, off)
+			}
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			if !bytes.Equal(rec, data[off+header:off+header+n]) {
+				t.Fatalf("record %d is not the frame at offset %d", yielded, off)
+			}
+			off += header + n
+			yielded++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Replay errored: %v", err)
+		}
+		if st.Records != yielded {
+			t.Fatalf("Records = %d, yielded %d", st.Records, yielded)
+		}
+		switch {
+		case off == len(data) && st.Torn:
+			t.Fatal("a log of whole intact frames reported Torn")
+		case off < len(data) && !st.Torn:
+			t.Fatalf("replay stopped at offset %d of %d without reporting Torn", off, len(data))
+		case off < len(data) && intact(data[off:]):
+			t.Fatalf("replay stopped at the intact frame at offset %d", off)
+		}
+	})
 }
