@@ -32,7 +32,6 @@ type Cache[V any] struct {
 	maxWeight  int64
 	weigh      func(V) int64
 	weight     int64 // total weight of completed, retained entries
-	onEvict    func(key string, val V)
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -88,15 +87,6 @@ func NewWeighted[V any](maxEntries int, maxWeight int64, weigh func(V) int64) *C
 	}
 }
 
-// SetOnEvict installs a hook called with each completed value as it is
-// evicted by the size or weight bound — the seam the service layer's
-// disk spill hangs off: evicted artifacts leave memory but stay
-// servable. The hook runs outside the cache lock (it may do I/O) and is
-// not called on Reset, which models a cold process start, not eviction.
-// Install before the cache is shared; the field is not synchronized
-// against concurrent Do calls.
-func (c *Cache[V]) SetOnEvict(fn func(key string, val V)) { c.onEvict = fn }
-
 // Do returns the cached value for key, computing it with compute on a
 // miss. Concurrent callers with the same key wait for the one in-flight
 // computation instead of duplicating it. Failed computations are not
@@ -147,22 +137,10 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (val V, cached bool
 			c.weight += e.weight
 		}
 	}
-	evicted := c.evictLocked()
+	c.evictLocked()
 	c.mu.Unlock()
 	close(e.ready)
-	if c.onEvict != nil {
-		for _, ev := range evicted {
-			c.onEvict(ev.key, ev.val)
-		}
-	}
 	return e.val, false, e.err
-}
-
-// evicted is one (key, value) pair leaving the cache, handed to the
-// OnEvict hook outside the lock.
-type evicted[V any] struct {
-	key string
-	val V
 }
 
 // removeFromOrderLocked drops key's entry from the eviction queue when
@@ -179,32 +157,26 @@ func (c *Cache[V]) removeFromOrderLocked(key string) {
 }
 
 // evictLocked drops the oldest completed values until the cache fits
-// both its entry bound and (when configured) its weight bound, and
-// returns them so the caller can run the OnEvict hook outside the lock.
-// In-flight entries are never evicted (their waiters hold the entry
-// anyway), and failed entries never linger in the queue (Do removes
-// them), so the queue tracks the map exactly.
-func (c *Cache[V]) evictLocked() []evicted[V] {
+// both its entry bound and (when configured) its weight bound. In-flight
+// entries are never evicted (their waiters hold the entry anyway), and
+// failed entries never linger in the queue (Do removes them), so the
+// queue tracks the map exactly.
+func (c *Cache[V]) evictLocked() {
 	over := func() bool {
 		return len(c.entries) > c.maxEntries ||
 			(c.maxWeight > 0 && c.weight > c.maxWeight)
 	}
-	var out []evicted[V]
 	for over() && len(c.order) > 0 {
 		k := c.order[0]
 		if e, ok := c.entries[k]; ok {
 			if !e.done {
-				return out
+				return
 			}
 			c.weight -= e.weight
 			delete(c.entries, k)
-			if c.onEvict != nil {
-				out = append(out, evicted[V]{key: k, val: e.val})
-			}
 		}
 		c.order = c.order[1:]
 	}
-	return out
 }
 
 // Stats returns cumulative hit/miss counters.

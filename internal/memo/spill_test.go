@@ -290,34 +290,6 @@ func FuzzSpillRecord(f *testing.F) {
 	})
 }
 
-func TestCacheOnEvictSpillsValue(t *testing.T) {
-	c := memo.NewWeighted[string](4, 10, func(v string) int64 { return int64(len(v)) })
-	var mu sync.Mutex
-	spilled := map[string]string{}
-	c.SetOnEvict(func(key, val string) {
-		mu.Lock()
-		spilled[key] = val
-		mu.Unlock()
-	})
-	put := func(k, v string) {
-		t.Helper()
-		if _, _, err := c.Do(k, func() (string, error) { return v, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("a", "aaaa") // weight 4
-	put("b", "bbbb") // weight 8
-	put("c", "cccc") // weight 12 -> evicts a
-	mu.Lock()
-	defer mu.Unlock()
-	if spilled["a"] != "aaaa" {
-		t.Fatalf("evicted value not handed to hook: %+v", spilled)
-	}
-	if _, ok := spilled["b"]; ok {
-		t.Fatalf("retained value evicted: %+v", spilled)
-	}
-}
-
 // TestDoPanicIsTypedError: a panicking computation must fail the flight
 // with a typed error for the caller AND any joined waiters — before
 // this, the waiters would deadlock on a never-closed ready channel.

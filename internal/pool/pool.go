@@ -119,15 +119,8 @@ func NewGate(limit int) *Gate {
 // Limit returns the gate's admission cap.
 func (g *Gate) Limit() int { return cap(g.sem) }
 
-// Run blocks until a slot is free, runs fn, and releases the slot — also
-// on panic.
-func (g *Gate) Run(fn func()) {
-	g.sem <- struct{}{}
-	defer func() { <-g.sem }()
-	fn()
-}
-
-// RunErr is Run for fallible jobs.
+// RunErr blocks until a slot is free, runs fn, and releases the slot —
+// also on panic — returning fn's error.
 func (g *Gate) RunErr(fn func() error) error {
 	g.sem <- struct{}{}
 	defer func() { <-g.sem }()

@@ -121,7 +121,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.Run(func() {
+			_ = g.RunErr(func() error {
 				n := running.Add(1)
 				for {
 					p := peak.Load()
@@ -132,6 +132,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				running.Add(-1)
 				done.Add(1)
+				return nil
 			})
 		}()
 	}
@@ -148,7 +149,7 @@ func TestGateReleasesOnPanicAndError(t *testing.T) {
 	g := NewGate(1)
 	func() {
 		defer func() { recover() }()
-		g.Run(func() { panic("boom") })
+		_ = g.RunErr(func() error { panic("boom") })
 	}()
 	wantErr := errors.New("job failed")
 	if err := g.RunErr(func() error { return wantErr }); !errors.Is(err, wantErr) {
@@ -156,8 +157,7 @@ func TestGateReleasesOnPanicAndError(t *testing.T) {
 	}
 	// The slot must be free again after both failures.
 	ok := false
-	g.Run(func() { ok = true })
-	if !ok {
+	if err := g.RunErr(func() error { ok = true; return nil }); err != nil || !ok {
 		t.Fatal("gate slot leaked")
 	}
 }

@@ -88,9 +88,6 @@ func (s *Source) Bool() bool { return s.r.Intn(2) == 0 }
 // Perm returns a random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle swaps elements with the given swap function, as rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 // NormalVec fills a fresh slice of length n with Normal(mean, std) draws.
 func (s *Source) NormalVec(n int, mean, std float64) []float64 {
 	out := make([]float64, n)

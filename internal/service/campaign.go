@@ -111,51 +111,28 @@ func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
 	if v.train == nil || v.test == nil {
 		return nil, badRequestf("service: victim %q has no data splits for campaigns", v.name)
 	}
-	compute := func() (*CampaignResult, error) {
-		var res *CampaignResult
-		err := s.gate.RunErr(func() error {
-			var err error
-			res, err = s.runCampaign(spec, v)
-			return err
-		})
-		return res, err
-	}
+	compute := func() (*CampaignResult, error) { return s.runCampaign(spec, v) }
 	// A noisy victim's reads depend on concurrent traffic, so its
 	// results are not functions of the spec — never cache them.
 	if v.Noisy() {
-		res, err := compute()
+		res, err := gated(s, compute)
 		if err != nil {
 			return nil, err
 		}
 		s.campaigns.Add(1)
 		return res, nil
 	}
+	// Journaled like an experiment job, so a crash mid-campaign replays
+	// the spec at the next Open (once the victim registers) instead of
+	// losing the work. The key doubles as the journal id — sync jobs
+	// have no poll handle.
 	key := spec.key()
-	var fromSpill bool
-	val, cached, err := s.cache.Do(key, func() (any, error) {
-		if res := spillLoad[CampaignResult](s, key); res != nil {
-			fromSpill = true
-			return res, nil
-		}
-		// Journal the launch before computing, exactly like an experiment
-		// job: a crash mid-campaign replays the spec at the next Open
-		// (once the victim registers) instead of losing the work. The key
-		// doubles as the journal id — sync jobs have no poll handle.
-		if err := s.journalLaunch(journalRecord{Op: opLaunch, ID: key, Campaign: &spec}); err != nil {
-			return nil, err
-		}
-		res, err := compute()
-		if err == nil {
-			s.spillArtifact(key, res)
-		}
-		s.journalFinish(key, err)
-		return res, err
-	})
+	val, cached, err := serveArtifact(s, key, &journalRecord{Op: opLaunch, ID: key, Campaign: &spec}, nil, compute)
 	if err != nil {
 		return nil, err
 	}
-	res := *(val.(*CampaignResult)) // copy so Cached can differ per caller
-	res.Cached = cached || fromSpill
+	res := *val // copy so Cached can differ per caller
+	res.Cached = cached
 	s.campaigns.Add(1)
 	return &res, nil
 }
@@ -312,49 +289,25 @@ func (s *Service) runExtractJob(spec ExtractSpec) (*ExtractResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	compute := func() (*ExtractResult, error) {
-		var res *ExtractResult
-		err := s.gate.RunErr(func() error {
-			var err error
-			res, err = s.runExtract(spec, v)
-			return err
-		})
-		return res, err
-	}
+	compute := func() (*ExtractResult, error) { return s.runExtract(spec, v) }
 	if v.Noisy() {
-		// Not a function of the spec (see RunCampaign) — never cached.
-		return compute()
+		// Not a function of the spec (see runCampaignJob) — never cached.
+		return gated(s, compute)
 	}
+	// Journaled like a campaign (see runCampaignJob).
 	key := extractKey(spec)
-	var fromSpill bool
-	val, cached, err := s.cache.Do(key, func() (any, error) {
-		if res := spillLoad[ExtractResult](s, key); res != nil {
-			fromSpill = true
-			return res, nil
-		}
-		// Same restart-safety contract as campaigns: launch journaled
-		// before compute, completion marked after (see RunCampaign).
-		if err := s.journalLaunch(journalRecord{Op: opLaunch, ID: key, Extract: &spec}); err != nil {
-			return nil, err
-		}
-		res, err := compute()
-		if err == nil {
-			s.spillArtifact(key, res)
-		}
-		s.journalFinish(key, err)
-		return res, err
-	})
+	val, cached, err := serveArtifact(s, key, &journalRecord{Op: opLaunch, ID: key, Extract: &spec}, nil, compute)
 	if err != nil {
 		return nil, err
 	}
-	res := *(val.(*ExtractResult))
+	res := *val
 	// Deep-copy the slices: the cached artifact is shared by every
 	// future caller, so handing out aliases would let one client's
 	// in-place post-processing corrupt everyone else's results — the
 	// same ownership bug class Response.Raw had.
 	res.Signals = append([]float64(nil), res.Signals...)
 	res.Norms = append([]float64(nil), res.Norms...)
-	res.Cached = cached || fromSpill
+	res.Cached = cached
 	return &res, nil
 }
 

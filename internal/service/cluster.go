@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -54,6 +55,13 @@ type ClusterConfig struct {
 // peerFetchTimeout bounds one artifact/proof fetch against a peer; a
 // slow or dead peer degrades to local recompute, never a hung job.
 const peerFetchTimeout = 30 * time.Second
+
+// peerAnswerTimeout bounds how long a peer may take to accept the
+// connection and to start its answer. A peer that accepts and never
+// answers (a stopped process, a full accept queue) then costs a cold
+// miss this much, not the whole peerFetchTimeout, while a large body
+// that has started arriving still gets the full fetch time.
+const peerAnswerTimeout = 5 * time.Second
 
 // maxPeerArtifactBytes bounds what a peer response may make this node
 // buffer — the same cap the HTTP layer puts on request bodies.
@@ -85,10 +93,13 @@ func (s *Service) initCluster(cc *ClusterConfig) {
 	if !ok {
 		panic(fmt.Sprintf("service: cluster node id %q is not in the ring membership", cc.NodeID))
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DialContext = (&net.Dialer{Timeout: peerAnswerTimeout}).DialContext
+	tr.ResponseHeaderTimeout = peerAnswerTimeout
 	c := &clusterNode{
 		self: self,
 		ring: cc.Ring,
-		hc:   &http.Client{Timeout: peerFetchTimeout},
+		hc:   &http.Client{Timeout: peerFetchTimeout, Transport: tr},
 	}
 	for _, m := range cc.Ring.Members() {
 		if m.ID != self.ID {

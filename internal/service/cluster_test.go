@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -620,6 +621,78 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Deterministic: an idle server scrapes byte-identically.
 	if again, _ := scrape(); again != body {
 		t.Fatal("two idle scrapes differ")
+	}
+}
+
+// TestMetricsCoverStats keeps /v2/metrics mechanically complete with
+// respect to /v2/stats: every numeric top-level api.Stats field has a
+// series, and every series that reports a field names an integer one
+// (the kinds the handler reads). Per-victim fields would need labels
+// and are not exported.
+func TestMetricsCoverStats(t *testing.T) {
+	typ := reflect.TypeOf(api.Stats{})
+	reported := map[string]bool{}
+	names := map[string]bool{}
+	for _, m := range metricsTable {
+		if names[m.name] {
+			t.Errorf("series %s listed twice", m.name)
+		}
+		names[m.name] = true
+		if m.derive != nil {
+			continue
+		}
+		f, ok := typ.FieldByName(m.stat)
+		if !ok || (f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Int64) {
+			t.Errorf("series %s reports %q, not an integer api.Stats field", m.name, m.stat)
+		}
+		reported[m.stat] = true
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			if !reported[f.Name] {
+				t.Errorf("api.Stats.%s (%s) has no /v2/metrics series", f.Name, f.Tag.Get("json"))
+			}
+		}
+	}
+}
+
+// TestClusterSilentPeerBounded pins the peer-fetch wait: a peer that
+// accepts connections and never answers costs a cold miss at most
+// peerAnswerTimeout, not the whole fetch timeout, and counts as one
+// unverified fetch.
+func TestClusterSilentPeerBounded(t *testing.T) {
+	registerDurabilityExperiments()
+	// Node b's listener is reserved but never served: the kernel accepts
+	// the connection and nothing answers.
+	_, members := clusterListeners(t, []string{"a", "b"})
+	ring, err := cluster.New(members, 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specOwnedBy(t, ring, "a")
+	s := New(Config{Seed: 11, Workers: 2, Cluster: &ClusterConfig{NodeID: "a", Ring: ring}})
+	defer s.Close()
+
+	start := time.Now()
+	res, err := s.RunExperiment(spec)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached {
+		t.Error("cold spec marked cached")
+	}
+	if limit := peerAnswerTimeout + 5*time.Second; elapsed > limit {
+		t.Fatalf("cold miss beside a silent peer took %v, want at most %v", elapsed, limit)
+	}
+	st := s.Stats()
+	if st.PeerFetches != 1 || st.PeerFetchVerified != 0 || st.PeerFetchRejected != 0 {
+		t.Fatalf("peer fetch counters = %d/%d/%d, want 1 fetch, 0 verified, 0 rejected",
+			st.PeerFetches, st.PeerFetchVerified, st.PeerFetchRejected)
 	}
 }
 

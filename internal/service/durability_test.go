@@ -631,6 +631,56 @@ func TestChaosJournalFull(t *testing.T) {
 	}
 }
 
+// TestChaosSyncJournalFull extends the journal-full refusal to the
+// synchronous job kinds: with no room for one more record, a campaign
+// and an extraction are refused with a typed unavailable and
+// Retry-After 30 before anything computes, and the failed flight is not
+// cached, so an identical retry is refused the same way.
+func TestChaosSyncJournalFull(t *testing.T) {
+	// Every launch record is longer than 64 bytes, so none fits.
+	s, _, err := Open(Config{Seed: 11, Workers: 2, StateDir: t.TempDir(), MaxJournalBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		var ue *UnavailableError
+		if !errors.Is(err, ErrUnavailable) || !errors.As(err, &ue) || ue.RetryAfter != 30 {
+			t.Fatalf("%s = %v, want UnavailableError with Retry-After 30", what, err)
+		}
+		if e := apiError(err); e.Code != api.CodeUnavailable || e.RetryAfter != 30 {
+			t.Fatalf("%s envelope = %+v, want code unavailable, retry_after 30", what, e)
+		}
+	}
+	before := s.Stats()
+	campaign := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 3, Queries: 40, Lambda: 0.1}
+	extract := ExtractSpec{Victim: "m", Seed: 5}
+	for attempt := 1; attempt <= 2; attempt++ {
+		_, err := s.RunCampaign(campaign)
+		refused(fmt.Sprintf("campaign attempt %d", attempt), err)
+		_, err = s.RunExtract(extract)
+		refused(fmt.Sprintf("extraction attempt %d", attempt), err)
+	}
+	after := s.Stats()
+	// Nothing computed: no campaign counted, no artifact spilled, and not
+	// one probe or collection query reached the victim's coalescer.
+	if after.Campaigns != before.Campaigns || after.SpilledArtifacts != before.SpilledArtifacts ||
+		after.BatchedQueries != before.BatchedQueries {
+		t.Fatalf("refused jobs computed: campaigns %d -> %d, spilled %d -> %d, batched queries %d -> %d",
+			before.Campaigns, after.Campaigns, before.SpilledArtifacts, after.SpilledArtifacts,
+			before.BatchedQueries, after.BatchedQueries)
+	}
+	// Not cached: each of the four calls started its own flight.
+	if after.CachedArtifacts != 0 || after.CacheMisses-before.CacheMisses != 4 {
+		t.Fatalf("cache after refusals: %d artifacts, %d new misses; want 0 and 4",
+			after.CachedArtifacts, after.CacheMisses-before.CacheMisses)
+	}
+}
+
 // TestChaosPanickingJob pins the stuck-job fix: a panic inside an
 // experiment marks the job failed with a typed internal error (never
 // running forever with its done channel unclosed), counts in stats, and

@@ -288,67 +288,41 @@ func (s *Service) runExperimentReplay(spec ExperimentSpec) (*ExperimentResult, e
 }
 
 // runExperimentLocal computes (or serves) a validated spec on this
-// node, unconditionally.
+// node, unconditionally. Experiment artifacts are the ones peers are
+// asked for; their launches are journaled by LaunchExperiment, not by
+// the flight.
 func (s *Service) runExperimentLocal(spec ExperimentSpec, exp engine.Experiment) (*ExperimentResult, error) {
 	run := runnerFor(exp, spec)
-	key := specKey(spec)
-	// fromSpill is only written by the one computing flight (cache.Do is
-	// singleflight) and only read after Do returns in that same caller.
-	var fromSpill bool
-	compute := func() (any, error) {
-		// Read-through: a previous process may have finished this exact
-		// spec — serve its verified artifact instead of recomputing.
-		if res := spillLoad[ExperimentResult](s, key); res != nil {
-			fromSpill = true
-			return res, nil
+	val, cached, err := serveArtifact(s, specKey(spec), nil, s.peerFetchExperiment, func() (*ExperimentResult, error) {
+		out, err := run(s.options(spec))
+		if err != nil {
+			return nil, err
 		}
-		// A peer may already hold this artifact (it owned the key before a
-		// membership change, or served it pre-cluster): fetch-and-verify
-		// beats recomputing, and a failed fetch just falls through.
-		if res := s.peerFetchExperiment(key); res != nil {
-			fromSpill = true
-			return res, nil
+		var buf bytes.Buffer
+		if err := out.WriteJSON(&buf); err != nil {
+			return nil, err
 		}
-		var res *ExperimentResult
-		err := s.gate.RunErr(func() error {
-			out, err := run(s.options(spec))
-			if err != nil {
-				return err
-			}
-			var buf bytes.Buffer
-			if err := out.WriteJSON(&buf); err != nil {
-				return err
-			}
-			// Compact to the canonical artifact form: a JSON round trip
-			// through the spill store compacts embedded RawMessage, so
-			// storing compact bytes from the start keeps results
-			// bit-identical whether served from memory, from disk, or
-			// from a post-restart replay.
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, buf.Bytes()); err != nil {
-				return err
-			}
-			res = &ExperimentResult{
-				Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Runs: spec.Runs,
-				Options: spec.Options,
-				Render:  out.Render(),
-				Result:  json.RawMessage(compact.Bytes()),
-			}
-			return nil
-		})
-		if err == nil {
-			// Write-through: completion is durable the moment it exists, so
-			// a crash right after never forces this spec to recompute.
-			s.spillArtifact(key, res)
+		// Compact to the canonical artifact form: a JSON round trip
+		// through the spill store compacts embedded RawMessage, so
+		// storing compact bytes from the start keeps results
+		// bit-identical whether served from memory, from disk, or from a
+		// post-restart replay.
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, buf.Bytes()); err != nil {
+			return nil, err
 		}
-		return res, err
-	}
-	val, cached, err := s.cache.Do(key, compute)
+		return &ExperimentResult{
+			Name: spec.Name, Seed: spec.Seed, Scale: spec.Scale, Runs: spec.Runs,
+			Options: spec.Options,
+			Render:  out.Render(),
+			Result:  json.RawMessage(compact.Bytes()),
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := *(val.(*ExperimentResult)) // copy so Cached can differ per caller
-	res.Cached = cached || fromSpill
+	res := *val // copy so Cached can differ per caller
+	res.Cached = cached
 	return &res, nil
 }
 

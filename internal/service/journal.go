@@ -135,9 +135,8 @@ const defaultMaxJournalBytes = 64 << 20
 
 // Open is New plus durability: it roots the job journal and the
 // artifact spill store in Config.StateDir, replays any journal a
-// previous process left (restoring its jobs), compacts it into a fresh
-// generation, and wires artifact-cache eviction to spill to disk.
-// The returned Recovery describes what was restored.
+// previous process left (restoring its jobs) and compacts it into a
+// fresh generation. The returned Recovery describes what was restored.
 func Open(cfg Config) (*Service, *Recovery, error) {
 	if cfg.StateDir == "" {
 		return nil, nil, errors.New("service: Open requires Config.StateDir")
@@ -154,61 +153,34 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 		return nil, nil, err
 	}
 
-	// Replay the previous generation. Completion marks fold into their
-	// launch records; unparseable payloads (a future schema) are skipped,
-	// not fatal — losing one job record must not brick the server.
-	type jobState struct {
-		spec   ExperimentSpec
-		done   bool
-		failed bool
-		errMsg string
+	// Replay the previous generation into one table: each launch record
+	// with the completion mark that folds into it (a failed mark wins
+	// over a done one). Unparseable payloads (a future schema) are
+	// skipped, not fatal — losing one job record must not brick the
+	// server.
+	type replayed struct {
+		launch journalRecord
+		mark   *journalRecord
 	}
-	states := map[string]*jobState{}
+	launches := map[string]*replayed{}
 	var order []string
-	// Synchronous (campaign/extract) jobs track separately: their journal
-	// life is the same launch/finish pair, but recovery only cares about
-	// the unfinished ones — a finished sync job's artifact is in spill and
-	// its client connection is long gone.
-	type syncState struct {
-		launch   journalRecord
-		finished bool
-	}
-	syncStates := map[string]*syncState{}
-	var syncOrder []string
+	experiments := 0
 	jpath := filepath.Join(cfg.StateDir, "jobs.wal")
 	st, err := wal.Replay(fsys, jpath, func(b []byte) error {
 		var rec journalRecord
 		if json.Unmarshal(b, &rec) != nil || rec.ID == "" {
 			return nil
 		}
-		switch rec.Op {
-		case opLaunch:
-			switch {
-			case rec.Spec != nil:
-				if _, ok := states[rec.ID]; !ok {
-					states[rec.ID] = &jobState{spec: *rec.Spec}
-					order = append(order, rec.ID)
-				}
-			case rec.Campaign != nil || rec.Extract != nil:
-				if _, ok := syncStates[rec.ID]; !ok {
-					syncStates[rec.ID] = &syncState{launch: rec}
-					syncOrder = append(syncOrder, rec.ID)
-				}
+		r, seen := launches[rec.ID]
+		switch {
+		case rec.Op == opLaunch && !seen && (rec.Spec != nil || rec.Campaign != nil || rec.Extract != nil):
+			launches[rec.ID] = &replayed{launch: rec}
+			order = append(order, rec.ID)
+			if rec.Spec != nil {
+				experiments++
 			}
-		case opDone:
-			if js, ok := states[rec.ID]; ok {
-				js.done = true
-			} else if ss, ok := syncStates[rec.ID]; ok {
-				ss.finished = true
-			}
-		case opFailed:
-			if js, ok := states[rec.ID]; ok {
-				js.failed, js.errMsg = true, rec.Err
-			} else if ss, ok := syncStates[rec.ID]; ok {
-				// A failed sync job's error already reached its client;
-				// nothing to restore.
-				ss.finished = true
-			}
+		case (rec.Op == opDone || rec.Op == opFailed) && seen && (r.mark == nil || rec.Op == opFailed):
+			r.mark = &rec
 		}
 		return nil
 	})
@@ -218,21 +190,8 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 
 	s := New(cfg)
 	s.spill = spill
-	// Evicted artifacts leave memory but stay servable from disk; write-
-	// through at compute time already persisted most, so this mainly
-	// catches artifacts computed before the spill dir had space.
-	s.cache.SetOnEvict(s.spillArtifact)
-
-	// Restore at most the job-table bound, newest first — the same FIFO
-	// discipline the live table applies. Dropped jobs lose their poll
-	// handle but not their artifacts (spec-addressed in spill).
-	if len(order) > s.jobs.bound {
-		order = order[len(order)-s.jobs.bound:]
-	}
-
-	// Compact into the next journal generation: one launch record per
-	// restored job plus its completion mark, atomically replacing the
-	// old log. The handle stays open — this is the live journal now.
+	// The next journal generation replaces the old log atomically at
+	// Commit. The handle stays open — this is the live journal now.
 	aw, err := wal.CreateAtomic(fsys, jpath, wal.Options{
 		Fsync:    cfg.JournalFsync,
 		MaxBytes: cfg.maxJournalBytes(),
@@ -241,84 +200,68 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 		s.Close()
 		return nil, nil, err
 	}
-	writeRec := func(rec journalRecord) error {
+	keep := func(rec journalRecord) error {
 		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
+		if err == nil {
+			err = aw.Append(payload)
 		}
-		return aw.Append(payload)
+		return err
 	}
-	for _, id := range order {
-		js := states[id]
-		if err := writeRec(journalRecord{Op: opLaunch, ID: id, Spec: &js.spec}); err != nil {
-			_ = aw.Abort()
-			s.Close()
-			return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
-		}
-		switch {
-		case js.failed:
-			err = writeRec(journalRecord{Op: opFailed, ID: id, Err: js.errMsg})
-		case js.done:
-			err = writeRec(journalRecord{Op: opDone, ID: id})
-		}
-		if err != nil {
-			_ = aw.Abort()
-			s.Close()
-			return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
-		}
-	}
-	// Unfinished sync launches survive compaction — another crash before
-	// their re-run completes must still replay them. Finished ones are
-	// dropped: the artifact lives in spill under the same key.
-	for _, id := range syncOrder {
-		if ss := syncStates[id]; !ss.finished {
-			if err := writeRec(ss.launch); err != nil {
-				_ = aw.Abort()
-				s.Close()
-				return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
-			}
-		}
-	}
-	if err := aw.Commit(); err != nil {
-		_ = aw.Abort()
-		s.Close()
-		return nil, nil, err
-	}
-	s.journal = &jobJournal{w: aw}
-
-	// Restore the jobs. Failed ones are restored failed; everything else
-	// — unfinished or done — re-runs through the normal compute path,
-	// where completed specs hit the spill store instead of recomputing.
 	rec := &Recovery{
 		TornJournalTail:  st.Torn,
 		SpilledArtifacts: spill.Stats().Artifacts,
 	}
-	// Queue unfinished sync jobs for replay. Their victims register after
-	// Open (campaigns need trained data splits), so the records wait in
-	// pendingSync until Register drains them per victim.
-	for _, id := range syncOrder {
-		ss := syncStates[id]
-		if ss.finished {
+	// One pass in journal order compacts and restores every job:
+	//   - Experiment jobs, at most the job-table bound, newest first —
+	//     the same FIFO discipline the live table applies; a dropped job
+	//     loses its poll handle, not its spec-addressed artifact. Each is
+	//     rewritten with its mark and restored under its original id:
+	//     failed ones failed, the rest re-run once the new journal is
+	//     live, where a completed spec hits spill instead of recomputing.
+	//   - Campaign and extract launches. A finished one is dropped: its
+	//     artifact lives in spill under the same key and its client is
+	//     long gone. An unfinished one is rewritten — another crash before
+	//     its re-run completes must still replay it — and waits in
+	//     pendingSync until Register drains its victim (campaigns need
+	//     trained data splits, which register after Open).
+	skip := experiments - s.jobs.bound
+	var relaunch []*ExperimentJob
+	for _, id := range order {
+		r := launches[id]
+		switch {
+		case r.launch.Spec == nil && r.mark != nil:
+			continue
+		case r.launch.Spec != nil && skip > 0:
+			skip--
 			continue
 		}
-		name := ss.launch.victimName()
-		s.pendingSync[name] = append(s.pendingSync[name], ss.launch)
-		if ss.launch.Campaign != nil {
-			rec.ReplayedCampaigns++
-		} else {
-			rec.ReplayedExtracts++
+		err := keep(r.launch)
+		if err == nil && r.mark != nil {
+			err = keep(*r.mark)
 		}
-	}
-	for _, id := range order {
-		js := states[id]
-		job := &ExperimentJob{id: id, spec: js.spec, done: make(chan struct{})}
+		if err != nil {
+			_ = aw.Abort()
+			s.Close()
+			return nil, nil, fmt.Errorf("service: compacting journal: %w", err)
+		}
+		if r.launch.Spec == nil {
+			name := r.launch.victimName()
+			s.pendingSync[name] = append(s.pendingSync[name], r.launch)
+			if r.launch.Campaign != nil {
+				rec.ReplayedCampaigns++
+			} else {
+				rec.ReplayedExtracts++
+			}
+			continue
+		}
+		job := &ExperimentJob{id: id, spec: *r.launch.Spec, done: make(chan struct{})}
 		if err := s.jobs.addExisting(job); err != nil {
 			continue
 		}
 		s.replayedJobs.Add(1)
 		rec.ReplayedJobs++
-		if js.failed {
-			msg := js.errMsg
+		if r.mark != nil && r.mark.Op == opFailed {
+			msg := r.mark.Err
 			if msg == "" {
 				msg = "job failed before restart"
 			}
@@ -329,6 +272,15 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 			continue
 		}
 		rec.Relaunched++
+		relaunch = append(relaunch, job)
+	}
+	if err := aw.Commit(); err != nil {
+		_ = aw.Abort()
+		s.Close()
+		return nil, nil, err
+	}
+	s.journal = &jobJournal{w: aw}
+	for _, job := range relaunch {
 		s.runJob(job)
 	}
 	return s, rec, nil
@@ -377,6 +329,62 @@ func (s *Service) journalFinish(id string, jobErr error) {
 		rec.Op, rec.Err = opFailed, jobErr.Error()
 	}
 	_ = s.journal.append(rec)
+}
+
+// serveArtifact is the one path every cacheable artifact takes, in
+// this order: the memory cache, whose singleflight collapses identical
+// concurrent requests onto one flight; the spill store; peer, when
+// non-nil (experiments ask cluster peers); the journal launch record,
+// when launch is non-nil (a campaign or extraction; experiment jobs are
+// journaled by LaunchExperiment); the gated compute; write-through to
+// spill, so a crash right after never forces a recompute; and the
+// completion mark. cached reports a memory, spill or peer hit. A failed
+// flight, a refused journal append included, is not cached, so a retry
+// starts over. The returned artifact is shared with every later caller.
+func serveArtifact[T any](s *Service, key string, launch *journalRecord, peer func(key string) *T, compute func() (*T, error)) (*T, bool, error) {
+	// hit is only written by the one computing flight (cache.Do is
+	// singleflight) and only read after Do returns in that same caller.
+	var hit bool
+	val, cached, err := s.cache.Do(key, func() (any, error) {
+		if res := spillLoad[T](s, key); res != nil {
+			hit = true
+			return res, nil
+		}
+		if peer != nil {
+			if res := peer(key); res != nil {
+				hit = true
+				return res, nil
+			}
+		}
+		if launch != nil {
+			if err := s.journalLaunch(*launch); err != nil {
+				return nil, err
+			}
+		}
+		res, err := gated(s, compute)
+		if err == nil {
+			s.spillArtifact(key, res)
+		}
+		if launch != nil {
+			s.journalFinish(launch.ID, err)
+		}
+		return res, err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return val.(*T), cached || hit, nil
+}
+
+// gated runs compute under the service's job gate, so at most
+// Config.MaxConcurrentJobs artifacts compute at once.
+func gated[T any](s *Service, compute func() (*T, error)) (*T, error) {
+	var res *T
+	err := s.gate.RunErr(func() (err error) {
+		res, err = compute()
+		return err
+	})
+	return res, err
 }
 
 // codeIdentity is the code half of every artifact's identity, the

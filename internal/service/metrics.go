@@ -2,70 +2,97 @@ package service
 
 import (
 	"fmt"
-	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 
 	"xbarsec/internal/experiment"
 )
 
+// metricSeries is one /v2/metrics series. stat names the api.Stats field
+// it reports; a series without one derives its value from the snapshots
+// (hit ratios, the process-wide victim store).
+type metricSeries struct {
+	name, typ, help string
+	stat            string
+	derive          func(st *Stats, vs *experiment.VictimStoreStats) float64
+}
+
+// metricsTable is the scrape surface in its fixed order: every numeric
+// api.Stats field has a row (TestMetricsCoverStats), and new rows go at
+// the end so existing series keep their place.
+var metricsTable = []metricSeries{
+	// Artifact cache: the in-memory singleflight tier.
+	{name: "xbarsec_artifact_cache_hits_total", typ: "counter", help: "Artifact cache hits.", stat: "CacheHits"},
+	{name: "xbarsec_artifact_cache_misses_total", typ: "counter", help: "Artifact cache misses (computations).", stat: "CacheMisses"},
+	{name: "xbarsec_artifact_cache_hit_ratio", typ: "gauge", help: "Hits over lookups, 0 before the first lookup.",
+		derive: func(st *Stats, _ *experiment.VictimStoreStats) float64 { return hitRatio(st.CacheHits, st.CacheMisses) }},
+	{name: "xbarsec_artifact_cache_entries", typ: "gauge", help: "Artifacts resident in memory.", stat: "CachedArtifacts"},
+	{name: "xbarsec_artifact_cache_bytes", typ: "gauge", help: "Approximate resident bytes of cached artifacts.", stat: "CachedArtifactBytes"},
+
+	// Victim store: process-wide trained-victim memoization.
+	{name: "xbarsec_victim_store_hits_total", typ: "counter", help: "Victim store hits (trainings avoided).",
+		derive: func(_ *Stats, vs *experiment.VictimStoreStats) float64 { return float64(vs.Hits) }},
+	{name: "xbarsec_victim_store_misses_total", typ: "counter", help: "Victim store misses.",
+		derive: func(_ *Stats, vs *experiment.VictimStoreStats) float64 { return float64(vs.Misses) }},
+	{name: "xbarsec_victim_store_hit_ratio", typ: "gauge", help: "Hits over lookups, 0 before the first lookup.",
+		derive: func(_ *Stats, vs *experiment.VictimStoreStats) float64 { return hitRatio(vs.Hits, vs.Misses) }},
+	{name: "xbarsec_victim_store_trainings_total", typ: "counter", help: "Victim trainings performed.",
+		derive: func(_ *Stats, vs *experiment.VictimStoreStats) float64 { return float64(vs.Trainings) }},
+	{name: "xbarsec_victim_store_victims", typ: "gauge", help: "Trained victims resident in memory.",
+		derive: func(_ *Stats, vs *experiment.VictimStoreStats) float64 { return float64(vs.Cached) }},
+	{name: "xbarsec_victim_store_bytes", typ: "gauge", help: "Approximate resident bytes of stored victims.",
+		derive: func(_ *Stats, vs *experiment.VictimStoreStats) float64 { return float64(vs.Bytes) }},
+
+	// Spill store: the on-disk artifact tier (zero when memory-only).
+	{name: "xbarsec_spill_artifacts", typ: "gauge", help: "Artifacts on disk.", stat: "SpilledArtifacts"},
+	{name: "xbarsec_spill_bytes", typ: "gauge", help: "Payload bytes on disk.", stat: "SpilledArtifactBytes"},
+	{name: "xbarsec_spill_hits_total", typ: "counter", help: "Artifacts served from disk.", stat: "SpillHits"},
+	{name: "xbarsec_provenance_records", typ: "gauge", help: "Provenance records on disk.", stat: "ProvenanceRecords"},
+
+	// Serving.
+	{name: "xbarsec_sessions", typ: "gauge", help: "Open attacker sessions.", stat: "Sessions"},
+	{name: "xbarsec_batched_queries_total", typ: "counter", help: "Oracle queries served through coalescers.", stat: "BatchedQueries"},
+	{name: "xbarsec_batch_flushes_total", typ: "counter", help: "Coalescer batch flushes.", stat: "BatchFlushes"},
+	{name: "xbarsec_campaigns_total", typ: "counter", help: "Campaign jobs served.", stat: "Campaigns"},
+	{name: "xbarsec_failed_jobs_total", typ: "counter", help: "Experiment jobs that failed.", stat: "FailedJobs"},
+
+	// Cluster (zero on a single-node server).
+	{name: "xbarsec_cluster_redirects_total", typ: "counter", help: "Requests redirected to their owning node.", stat: "RedirectsIssued"},
+	{name: "xbarsec_cluster_peer_fetches_total", typ: "counter", help: "Artifact fetch attempts against peers.", stat: "PeerFetches"},
+	{name: "xbarsec_cluster_peer_fetch_verified_total", typ: "counter", help: "Peer artifacts accepted after provenance verification.", stat: "PeerFetchVerified"},
+	{name: "xbarsec_cluster_peer_fetch_rejected_total", typ: "counter", help: "Peer artifacts rejected by provenance verification.", stat: "PeerFetchRejected"},
+
+	// Sessions, jobs and coalescer high-water marks.
+	{name: "xbarsec_reaped_sessions_total", typ: "counter", help: "Sessions evicted by the idle-TTL janitor.", stat: "ReapedSessions"},
+	{name: "xbarsec_experiment_jobs", typ: "gauge", help: "Experiment jobs tracked (running or finished).", stat: "ExperimentJobs"},
+	{name: "xbarsec_replayed_jobs", typ: "gauge", help: "Jobs restored from the job journal at startup.", stat: "ReplayedJobs"},
+	{name: "xbarsec_max_batch", typ: "gauge", help: "Largest single coalescer flush.", stat: "MaxBatch"},
+	{name: "xbarsec_queue_depth_peak", typ: "gauge", help: "Deepest any coalescer queue has been at submit time.", stat: "QueueDepthPeak"},
+}
+
 // handleMetrics serves GET /v2/metrics: the service counters in the
 // Prometheus text exposition format, for scraping a deployment that
-// GET /v2/stats (JSON, human-shaped) does not fit. The metric set and
-// its order are fixed — two scrapes of an idle server are byte-equal —
-// and every value is a plain float gauge or monotone counter; no
-// labels, no timestamps.
+// GET /v2/stats (JSON, human-shaped) does not fit. The series are
+// metricsTable's, in its order — two scrapes of an idle server are
+// byte-equal — and every value is a plain float gauge or monotone
+// counter; no labels, no timestamps. Write errors are ignored: the
+// scraper hung up, nothing to recover.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	vs := experiment.StoreStats()
+	fields := reflect.ValueOf(st)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m := metricsWriter{w: w}
-
-	// Artifact cache: the in-memory singleflight tier.
-	m.counter("xbarsec_artifact_cache_hits_total", "Artifact cache hits.", float64(st.CacheHits))
-	m.counter("xbarsec_artifact_cache_misses_total", "Artifact cache misses (computations).", float64(st.CacheMisses))
-	m.gauge("xbarsec_artifact_cache_hit_ratio", "Hits over lookups, 0 before the first lookup.", hitRatio(st.CacheHits, st.CacheMisses))
-	m.gauge("xbarsec_artifact_cache_entries", "Artifacts resident in memory.", float64(st.CachedArtifacts))
-	m.gauge("xbarsec_artifact_cache_bytes", "Approximate resident bytes of cached artifacts.", float64(st.CachedArtifactBytes))
-
-	// Victim store: process-wide trained-victim memoization.
-	m.counter("xbarsec_victim_store_hits_total", "Victim store hits (trainings avoided).", float64(vs.Hits))
-	m.counter("xbarsec_victim_store_misses_total", "Victim store misses.", float64(vs.Misses))
-	m.gauge("xbarsec_victim_store_hit_ratio", "Hits over lookups, 0 before the first lookup.", hitRatio(vs.Hits, vs.Misses))
-	m.counter("xbarsec_victim_store_trainings_total", "Victim trainings performed.", float64(vs.Trainings))
-	m.gauge("xbarsec_victim_store_victims", "Trained victims resident in memory.", float64(vs.Cached))
-	m.gauge("xbarsec_victim_store_bytes", "Approximate resident bytes of stored victims.", float64(vs.Bytes))
-
-	// Spill store: the on-disk artifact tier (zero when memory-only).
-	m.gauge("xbarsec_spill_artifacts", "Artifacts on disk.", float64(st.SpilledArtifacts))
-	m.gauge("xbarsec_spill_bytes", "Payload bytes on disk.", float64(st.SpilledArtifactBytes))
-	m.counter("xbarsec_spill_hits_total", "Artifacts served from disk.", float64(st.SpillHits))
-	m.gauge("xbarsec_provenance_records", "Provenance records on disk.", float64(st.ProvenanceRecords))
-
-	// Serving.
-	m.gauge("xbarsec_sessions", "Open attacker sessions.", float64(st.Sessions))
-	m.counter("xbarsec_batched_queries_total", "Oracle queries served through coalescers.", float64(st.BatchedQueries))
-	m.counter("xbarsec_batch_flushes_total", "Coalescer batch flushes.", float64(st.BatchFlushes))
-	m.counter("xbarsec_campaigns_total", "Campaign jobs served.", float64(st.Campaigns))
-	m.counter("xbarsec_failed_jobs_total", "Experiment jobs that failed.", float64(st.FailedJobs))
-
-	// Cluster (zero on a single-node server).
-	m.counter("xbarsec_cluster_redirects_total", "Requests redirected to their owning node.", float64(st.RedirectsIssued))
-	m.counter("xbarsec_cluster_peer_fetches_total", "Artifact fetch attempts against peers.", float64(st.PeerFetches))
-	m.counter("xbarsec_cluster_peer_fetch_verified_total", "Peer artifacts accepted after provenance verification.", float64(st.PeerFetchVerified))
-	m.counter("xbarsec_cluster_peer_fetch_rejected_total", "Peer artifacts rejected by provenance verification.", float64(st.PeerFetchRejected))
-}
-
-// metricsWriter emits one metric family at a time. Write errors are
-// ignored — the scraper hung up, nothing to recover.
-type metricsWriter struct{ w io.Writer }
-
-func (m metricsWriter) counter(name, help string, v float64) { m.emit(name, "counter", help, v) }
-func (m metricsWriter) gauge(name, help string, v float64)   { m.emit(name, "gauge", help, v) }
-
-func (m metricsWriter) emit(name, typ, help string, v float64) {
-	fmt.Fprintf(m.w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
-		name, help, name, typ, name, strconv.FormatFloat(v, 'g', -1, 64))
+	for _, m := range metricsTable {
+		var v float64
+		if m.derive != nil {
+			v = m.derive(&st, &vs)
+		} else {
+			v = float64(fields.FieldByName(m.stat).Int())
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			m.name, m.help, m.name, m.typ, m.name, strconv.FormatFloat(v, 'g', -1, 64))
+	}
 }
 
 // hitRatio is hits/(hits+misses), 0 before the first lookup.

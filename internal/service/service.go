@@ -291,9 +291,6 @@ func (s *Service) Victim(name string) (*Victim, error) {
 	return v, nil
 }
 
-// VictimNames lists registered victims in sorted order.
-func (s *Service) VictimNames() []string { return s.victims.keys() }
-
 // Close shuts the service down: coalescers stop after draining, queued
 // queries fail with ErrVictimClosed, the session janitor stops, new
 // work is refused, and (in durable mode) the job journal is flushed and

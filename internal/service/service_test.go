@@ -72,8 +72,8 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := s.Register(dup); !errors.Is(err, ErrVictimExists) {
 		t.Fatalf("want ErrVictimExists, got %v", err)
 	}
-	if names := s.VictimNames(); len(names) != 1 || names[0] != "m" {
-		t.Fatalf("names = %v", names)
+	if vs := s.Stats().Victims; len(vs) != 1 || vs[0].Name != "m" {
+		t.Fatalf("victims = %+v", vs)
 	}
 	if err := s.Register(v); err == nil {
 		t.Fatal("re-registering an attached victim must fail")

@@ -12,7 +12,7 @@ import (
 
 // Matrix is a dense, row-major matrix of float64 values.
 //
-// The zero value is an empty (0x0) matrix. Use New or NewFromData to
+// The zero value is an empty (0x0) matrix. Use New or NewFromRows to
 // construct matrices with a shape.
 type Matrix struct {
 	rows, cols int
@@ -26,15 +26,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewFromData wraps data as a rows x cols matrix without copying.
-// It panics if len(data) != rows*cols.
-func NewFromData(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d does not match %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{rows: rows, cols: cols, data: data}
 }
 
 // NewFromRows builds a matrix from a slice of equal-length rows, copying
@@ -238,13 +229,6 @@ func (m *Matrix) AddScaled(alpha float64, other *Matrix) {
 func (m *Matrix) Scale(alpha float64) {
 	for i := range m.data {
 		m.data[i] *= alpha
-	}
-}
-
-// Apply replaces each element x with f(x), in place.
-func (m *Matrix) Apply(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
 	}
 }
 

@@ -76,15 +76,6 @@ func CloneVec(a []float64) []float64 {
 	return out
 }
 
-// Norm1 returns Σ|a_i|.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // Norm2 returns sqrt(Σ a_i²).
 func Norm2(a []float64) float64 {
 	var s float64
@@ -120,21 +111,6 @@ func ArgMax(a []float64) int {
 	return bi
 }
 
-// ArgMin returns the index of the smallest element, breaking ties in favor
-// of the lowest index. It returns -1 for an empty slice.
-func ArgMin(a []float64) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best, bi := a[0], 0
-	for i := 1; i < len(a); i++ {
-		if a[i] < best {
-			best, bi = a[i], i
-		}
-	}
-	return bi
-}
-
 // TopK returns the indices of the k largest elements in descending order of
 // value. If k exceeds len(a), all indices are returned. Ties are broken by
 // lower index first.
@@ -151,32 +127,6 @@ func TopK(a []float64, k int) []int {
 	}
 	sort.SliceStable(idx, func(x, y int) bool { return a[idx[x]] > a[idx[y]] })
 	return idx[:k]
-}
-
-// Clamp limits every element of a into [lo, hi], in place, and returns a.
-func Clamp(a []float64, lo, hi float64) []float64 {
-	for i, v := range a {
-		if v < lo {
-			a[i] = lo
-		} else if v > hi {
-			a[i] = hi
-		}
-	}
-	return a
-}
-
-// SignVec returns the element-wise sign of a: -1, 0 or +1.
-func SignVec(a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		switch {
-		case v > 0:
-			out[i] = 1
-		case v < 0:
-			out[i] = -1
-		}
-	}
-	return out
 }
 
 // Basis returns the length-n standard basis vector scaled by beta with a 1
@@ -207,13 +157,4 @@ func AllFinite(a []float64) bool {
 		}
 	}
 	return true
-}
-
-// Sum returns Σ a_i.
-func Sum(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s
 }

@@ -143,9 +143,6 @@ func NewRecorder(meter sidechannel.PowerMeter, bits int, noiseStd float64, src *
 // Queries returns the number of full bit-serial inferences recorded.
 func (r *Recorder) Queries() int { return r.queries }
 
-// Bits returns the DAC resolution.
-func (r *Recorder) Bits() int { return r.enc.Bits }
-
 // Record runs one bit-serial inference of u and returns its power trace.
 func (r *Recorder) Record(u []float64) (Trace, error) {
 	if len(u) != r.meter.Inputs() {
@@ -205,7 +202,3 @@ func (r *Recorder) RecoverColumnSignals(inputs *tensor.Matrix) ([]float64, error
 	}
 	return signals, nil
 }
-
-// TotalEnergy returns the sum of the per-cycle powers — the scalar an
-// integrating (static) power meter would see for the whole inference.
-func (t Trace) TotalEnergy() float64 { return tensor.Sum(t.Cycles) }
