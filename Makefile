@@ -127,7 +127,8 @@ cluster:
 # (go test accepts one -fuzz target per run): the binary query-body
 # parser (the server's first contact with a binary request), the spill
 # file read and its record check, journal replay over arbitrary bytes,
-# and the fast dot kernels against the reference chain. Each target starts from its f.Add seeds plus any
+# the fast dot kernels against the reference chain, and the -peers
+# membership parser. Each target starts from its f.Add seeds plus any
 # committed corpus under testdata/fuzz/<target>; a failure writes the
 # crashing input there, ready to commit as a regression seed. CI runs it
 # as its own job. FuzzSpillRecord does real file I/O per run, so its
@@ -138,6 +139,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRecord$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/memo/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime 30s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMembers$$' -fuzztime 30s ./internal/cluster/
 
 # Builds and RUNS every example end to end (each takes a second or two;
 # the campaign example boots the HTTP service and drives it through the

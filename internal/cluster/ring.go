@@ -162,10 +162,11 @@ func ParseMembers(s string) ([]Member, error) {
 			continue
 		}
 		id, u, ok := strings.Cut(part, "=")
+		u = strings.TrimRight(u, "/")
 		if !ok || id == "" || u == "" {
 			return nil, fmt.Errorf("cluster: peer %q is not id=url", part)
 		}
-		ms = append(ms, Member{ID: id, URL: strings.TrimRight(u, "/")})
+		ms = append(ms, Member{ID: id, URL: u})
 	}
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("cluster: empty peer list")

@@ -177,7 +177,7 @@ func TestParseMembers(t *testing.T) {
 	if len(ms) != 2 || ms[0] != (Member{ID: "a", URL: "http://h1:1"}) || ms[1] != (Member{ID: "b", URL: "http://h2:2"}) {
 		t.Fatalf("parsed = %+v", ms)
 	}
-	for _, bad := range []string{"", "a", "=http://x", "a=", ","} {
+	for _, bad := range []string{"", "a", "=http://x", "a=", "a=/", ","} {
 		if _, err := ParseMembers(bad); err == nil {
 			t.Errorf("ParseMembers(%q) succeeded", bad)
 		}
@@ -185,4 +185,35 @@ func TestParseMembers(t *testing.T) {
 	if _, err := ParseMembers(strings.Repeat(",", 3)); err == nil {
 		t.Error("ParseMembers of only separators succeeded")
 	}
+}
+
+// FuzzParseMembers drives the -peers parser, the one input that sets
+// cluster membership, with arbitrary strings. It must never panic;
+// every member it returns must carry a non-empty id and a non-empty URL
+// without a trailing slash; an accepted list must build a ring or fail
+// New with an error, never a panic; and a built ring's Lookup must find
+// every member. The committed corpus lives in
+// testdata/fuzz/FuzzParseMembers.
+func FuzzParseMembers(f *testing.F) {
+	f.Add("a=http://h1:1,b=http://h2:2/")
+	f.Fuzz(func(t *testing.T, s string) {
+		ms, err := ParseMembers(s)
+		if err != nil {
+			return
+		}
+		for _, m := range ms {
+			if m.ID == "" || m.URL == "" || strings.HasSuffix(m.URL, "/") {
+				t.Fatalf("ParseMembers(%q) accepted member %+v", s, m)
+			}
+		}
+		r, err := New(ms, 4, 1)
+		if err != nil {
+			return
+		}
+		for _, m := range ms {
+			if got, ok := r.Lookup(m.ID); !ok || got != m {
+				t.Fatalf("ring from %q: Lookup(%q) = %+v, %v; want %+v", s, m.ID, got, ok, m)
+			}
+		}
+	})
 }

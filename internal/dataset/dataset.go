@@ -74,6 +74,17 @@ func (d *Dataset) Sample(i int) ([]float64, int) {
 	return tensor.CloneVec(d.X.Row(i)), d.Labels[i]
 }
 
+// Rows returns the design matrix as one row view per sample, the batch
+// form the batched crossbar reads take. The views alias X: callers must
+// not mutate them.
+func (d *Dataset) Rows() [][]float64 {
+	rows := make([][]float64, d.Len())
+	for i := range rows {
+		rows[i] = d.X.Row(i)
+	}
+	return rows
+}
+
 // OneHot returns the n x NumClasses one-hot target matrix.
 func (d *Dataset) OneHot() *tensor.Matrix {
 	t := tensor.New(d.Len(), d.NumClasses)

@@ -2,8 +2,8 @@
 // wrappers that inject deterministic, rng-seeded faults into the three
 // surfaces crash recovery depends on — the filesystem under the job
 // journal and artifact spill store (torn writes, disk errors, a crash
-// switch), the oracle hardware (read failures), and the SDK's HTTP
-// transport (dropped responses, refused connections).
+// switch), the oracle hardware (failed batched reads), and the SDK's
+// HTTP transport (dropped responses, refused connections).
 //
 // Determinism is the point: every fault decision is drawn from an
 // explicit rng.Source stream in operation order, so a chaos test at a
@@ -267,16 +267,15 @@ func (ff *faultFile) Close() error {
 type HardwareConfig struct {
 	// Seed roots the fault-decision stream.
 	Seed int64
-	// Reads faults Forward/Power/Predict calls (one shared schedule, in
-	// call order).
+	// Reads faults ForwardBatch/ForwardPowerBatch calls (one shared
+	// schedule, in call order; one decision per batched call).
 	Reads Plan
 }
 
 // Hardware wraps an oracle.Hardware with scheduled read faults. It
-// deliberately does not forward the fused/batched fast-path interfaces:
-// a faulty device degrades the oracle to the scalar path, which is also
-// the path whose charge-rollback accounting the faults are meant to
-// exercise.
+// faults the two batched reads the oracle serves every query with, so a
+// chaos test drives the same path production does; a faulted call
+// never reaches the device.
 type Hardware struct {
 	inner oracle.Hardware
 	reads *injector
@@ -290,28 +289,22 @@ func NewHardware(hw oracle.Hardware, cfg HardwareConfig) *Hardware {
 	}
 }
 
-// Forward runs a forward pass unless a scheduled fault refuses it.
-func (h *Hardware) Forward(u []float64) ([]float64, error) {
+// ForwardBatch runs the forward reads unless a scheduled fault refuses
+// the call.
+func (h *Hardware) ForwardBatch(us [][]float64) ([][]float64, error) {
 	if err := h.reads.decide(); err != nil {
 		return nil, err
 	}
-	return h.inner.Forward(u)
+	return h.inner.ForwardBatch(us)
 }
 
-// Power reads power unless a scheduled fault refuses it.
-func (h *Hardware) Power(u []float64) (float64, error) {
+// ForwardPowerBatch runs the fused reads unless a scheduled fault
+// refuses the call.
+func (h *Hardware) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
 	if err := h.reads.decide(); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	return h.inner.Power(u)
-}
-
-// Predict classifies unless a scheduled fault refuses it.
-func (h *Hardware) Predict(u []float64) (int, error) {
-	if err := h.reads.decide(); err != nil {
-		return 0, err
-	}
-	return h.inner.Predict(u)
+	return h.inner.ForwardPowerBatch(us)
 }
 
 // Inputs returns the wrapped dimensionality.

@@ -180,15 +180,17 @@ func TestCrashSwitch(t *testing.T) {
 // stubHW is a minimal deterministic oracle.Hardware.
 type stubHW struct{ calls atomic.Int64 }
 
-func (s *stubHW) Forward(u []float64) ([]float64, error) {
+func (s *stubHW) ForwardBatch(us [][]float64) ([][]float64, error) {
 	s.calls.Add(1)
-	return []float64{float64(len(u))}, nil
+	return make([][]float64, len(us)), nil
 }
-func (s *stubHW) Power(u []float64) (float64, error) { s.calls.Add(1); return 1.5, nil }
-func (s *stubHW) Predict(u []float64) (int, error)   { s.calls.Add(1); return 0, nil }
-func (s *stubHW) Inputs() int                        { return 4 }
-func (s *stubHW) Outputs() int                       { return 2 }
-func (s *stubHW) Crossbar() *crossbar.Crossbar       { return nil }
+func (s *stubHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
+	s.calls.Add(1)
+	return make([][]float64, len(us)), make([]float64, len(us)), nil
+}
+func (s *stubHW) Inputs() int                  { return 4 }
+func (s *stubHW) Outputs() int                 { return 2 }
+func (s *stubHW) Crossbar() *crossbar.Crossbar { return nil }
 
 func TestHardwareFaults(t *testing.T) {
 	stub := &stubHW{}
@@ -196,16 +198,18 @@ func TestHardwareFaults(t *testing.T) {
 		Seed:  3,
 		Reads: faultinject.Plan{FailAfter: 2},
 	})
-	if _, err := hw.Forward([]float64{1, 2}); err != nil {
+	batch := [][]float64{{1, 2}, {3, 4}}
+	if _, err := hw.ForwardBatch(batch); err != nil {
 		t.Fatalf("first read: %v", err)
 	}
-	if _, err := hw.Power([]float64{1, 2}); err != nil {
+	if _, _, err := hw.ForwardPowerBatch(batch); err != nil {
 		t.Fatalf("second read: %v", err)
 	}
-	if _, err := hw.Predict([]float64{1, 2}); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := hw.ForwardBatch(batch); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("third read: got %v, want ErrInjected", err)
 	}
-	// The injected failure never reached the device.
+	// One decision per batched call, and the injected failure never
+	// reached the device.
 	if got := stub.calls.Load(); got != 2 {
 		t.Fatalf("device saw %d calls, want 2", got)
 	}
@@ -264,6 +268,40 @@ func TestOracleChargeRollbackUnderFaults(t *testing.T) {
 	}
 	if got := orc.Queries(); got != delivered {
 		t.Fatalf("charged %d queries, delivered %d responses — rollback broken", got, delivered)
+	}
+
+	// The batched half: a faulted batch delivers nothing and charges
+	// nothing, a clean one delivers (and charges) every query.
+	orc.ResetQueries()
+	batch := [][]float64{u, {4, 3, 2, 1}, {0, 1, 0, 1}}
+	delivered, faulted := 0, 0
+	for i := 0; i < 60; i++ {
+		resps, err := orc.QueryBatch(batch)
+		switch {
+		case err == nil:
+			if len(resps) != len(batch) {
+				t.Fatalf("batch %d: %d responses for %d queries", i, len(resps), len(batch))
+			}
+			for j, resp := range resps {
+				if len(resp.Raw) == 0 || resp.Power == 0 {
+					t.Fatalf("batch %d query %d: partial response %+v", i, j, resp)
+				}
+			}
+			delivered += len(resps)
+		case errors.Is(err, faultinject.ErrInjected):
+			if resps != nil {
+				t.Fatalf("batch %d: faulted batch delivered %d responses", i, len(resps))
+			}
+			faulted++
+		default:
+			t.Fatalf("batch %d: untyped error %v", i, err)
+		}
+	}
+	if delivered == 0 || faulted == 0 {
+		t.Fatalf("delivered %d queries over %d faulted batches — fault schedule degenerate", delivered, faulted)
+	}
+	if got := orc.Queries(); got != delivered {
+		t.Fatalf("charged %d batched queries, delivered %d responses — rollback broken", got, delivered)
 	}
 }
 

@@ -21,36 +21,41 @@ type flakyHW struct {
 
 var errMeter = errors.New("power meter fault")
 
-func (f *flakyHW) Power(u []float64) (float64, error) {
+func (f *flakyHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
 	f.powerCalls++
 	if f.failPower {
-		return 0, errMeter
+		return nil, nil, errMeter
 	}
-	return f.Network.Power(u)
+	return f.Network.ForwardPowerBatch(us)
 }
 
-// fusedHW exposes the ForwardPowerer fast path by delegating to the
-// sequential reads, optionally failing.
+// fusedHW counts the fused batched reads by delegating to the
+// sequential reads per input, optionally failing.
 type fusedHW struct {
 	*crossbar.Network
 	fail  bool
 	calls int
 }
 
-func (f *fusedHW) ForwardPower(u []float64) ([]float64, float64, error) {
+func (f *fusedHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
 	f.calls++
 	if f.fail {
-		return nil, 0, errMeter
+		return nil, nil, errMeter
 	}
-	y, err := f.Network.Forward(u)
-	if err != nil {
-		return nil, 0, err
+	ys := make([][]float64, len(us))
+	ps := make([]float64, len(us))
+	for i, u := range us {
+		y, err := f.Network.Forward(u)
+		if err != nil {
+			return nil, nil, err
+		}
+		p, err := f.Network.Power(u)
+		if err != nil {
+			return nil, nil, err
+		}
+		ys[i], ps[i] = y, p
 	}
-	p, err := f.Network.Power(u)
-	if err != nil {
-		return nil, 0, err
-	}
-	return y, p, nil
+	return ys, ps, nil
 }
 
 func TestQueryPowerErrorRollsBackBudget(t *testing.T) {

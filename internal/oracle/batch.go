@@ -6,27 +6,11 @@ import (
 	"xbarsec/internal/tensor"
 )
 
-// ForwardBatcher is optionally implemented by Hardware that can serve
-// many forward passes as one batched operation — one array pass (or one
-// coalesced round trip) instead of len(us) scalar reads. Results must
-// be bit-identical to calling Forward per input in order on a
-// noise-free array; on a noisy array they must consume the noise stream
-// in exactly the per-input order. Both *crossbar.Network and the
-// service layer's coalescer satisfy it.
-type ForwardBatcher interface {
-	ForwardBatch(us [][]float64) ([][]float64, error)
-}
-
-// ForwardPowerBatcher is the fused batched analogue of ForwardPowerer:
-// both attacker observables for a whole batch in one operation.
-type ForwardPowerBatcher interface {
-	ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error)
-}
-
 // reserveN atomically claims up to n budget slots, returning how many
-// were granted — the prefix-admission analogue of reserve. Under
-// contention the CAS loop keeps the counter exact: concurrent batches
-// against remaining budget r are granted slots summing to at most r.
+// were granted. Under contention the CAS loop keeps the counter exact:
+// the counter never exceeds the budget, so concurrent batches against
+// remaining budget r are granted slots summing to at most r, and N
+// racing single queries against budget B get exactly B grants.
 func (o *Oracle) reserveN(n int) int {
 	if o.budget == 0 {
 		o.queries.Add(int64(n))
@@ -87,47 +71,19 @@ func (o *Oracle) QueryBatch(us [][]float64) ([]Response, error) {
 	return resps, nil
 }
 
-// executeBatch performs the hardware reads for one admitted batch,
-// preferring the batched interfaces and falling back to per-input reads
-// in input order (same results, scalar cost) on hardware without them.
+// executeBatch performs the one hardware read an admitted batch takes:
+// the fused read when the oracle measures power, the forward read
+// otherwise.
 func (o *Oracle) executeBatch(us [][]float64) ([]Response, error) {
 	var (
 		ys  [][]float64
 		ps  []float64
 		err error
 	)
-	switch {
-	case o.measurePower:
-		if fpb, ok := o.hw.(ForwardPowerBatcher); ok {
-			ys, ps, err = fpb.ForwardPowerBatch(us)
-		} else {
-			ys = make([][]float64, len(us))
-			ps = make([]float64, len(us))
-			for i, u := range us {
-				if fp, ok := o.hw.(ForwardPowerer); ok {
-					ys[i], ps[i], err = fp.ForwardPower(u)
-				} else {
-					ys[i], err = o.hw.Forward(u)
-					if err == nil {
-						ps[i], err = o.hw.Power(u)
-					}
-				}
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	default:
-		if fb, ok := o.hw.(ForwardBatcher); ok {
-			ys, err = fb.ForwardBatch(us)
-		} else {
-			ys = make([][]float64, len(us))
-			for i, u := range us {
-				if ys[i], err = o.hw.Forward(u); err != nil {
-					return nil, err
-				}
-			}
-		}
+	if o.measurePower {
+		ys, ps, err = o.hw.ForwardPowerBatch(us)
+	} else {
+		ys, err = o.hw.ForwardBatch(us)
 	}
 	if err != nil {
 		return nil, err

@@ -18,35 +18,19 @@ func (f *batchFailHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64,
 	return nil, nil, errMeter
 }
 
-// scalarOnlyHW hides the crossbar's batch methods, forcing QueryBatch's
-// per-input fallback.
-type scalarOnlyHW struct {
-	hw *crossbar.Network
-}
-
-func (s scalarOnlyHW) Forward(u []float64) ([]float64, error) { return s.hw.Forward(u) }
-func (s scalarOnlyHW) Power(u []float64) (float64, error)     { return s.hw.Power(u) }
-func (s scalarOnlyHW) Predict(u []float64) (int, error)       { return s.hw.Predict(u) }
-func (s scalarOnlyHW) Inputs() int                            { return s.hw.Inputs() }
-func (s scalarOnlyHW) Outputs() int                           { return s.hw.Outputs() }
-func (s scalarOnlyHW) Crossbar() *crossbar.Crossbar           { return s.hw.Crossbar() }
-
 // TestQueryBatchMatchesSequential pins QueryBatch == N sequential
-// Query calls on the raw hardware, across disclosure/power modes and
-// with the batched interfaces both present and absent.
+// Query calls on the raw hardware, across disclosure/power modes.
 func TestQueryBatchMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name  string
 		mode  Mode
 		power bool
 		noise float64
-		bare  bool // strip the batch interfaces
 	}{
-		{"label-only", LabelOnly, false, 0, false},
-		{"raw", RawOutput, false, 0, false},
-		{"raw+power", RawOutput, true, 0, false},
-		{"raw+power+noise", RawOutput, true, 0.03, false},
-		{"scalar-fallback", RawOutput, true, 0.03, true},
+		{"label-only", LabelOnly, false, 0},
+		{"raw", RawOutput, false, 0},
+		{"raw+power", RawOutput, true, 0},
+		{"raw+power+noise", RawOutput, true, 0.03},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,13 +38,9 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 			cfg := crossbar.DefaultDeviceConfig()
 			cfg.GOff = 0
 			mk := func() *Oracle {
-				hwNet, err := crossbar.NewNetwork(net, cfg, nil)
+				hw, err := crossbar.NewNetwork(net, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
-				}
-				var hw Hardware = hwNet
-				if tc.bare {
-					hw = scalarOnlyHW{hw: hwNet}
 				}
 				ocfg := Config{Mode: tc.mode, MeasurePower: tc.power, Budget: 32}
 				if tc.noise > 0 {

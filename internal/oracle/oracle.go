@@ -22,32 +22,25 @@ import (
 
 // Hardware is the device interface an Oracle queries: a crossbar-hosted
 // network (the concrete *crossbar.Network) or any proxy in front of one,
-// such as the service layer's query coalescer. The Crossbar accessor
-// exposes the underlying array so power readings can be normalized to the
-// paper's weight-unit convention.
+// such as the service layer's query coalescer or the fault harness. Both
+// reads take a batch, and a single query is a batch of one. Results must
+// be bit-identical to calling Forward (then Power) on the array once per
+// input in order; on a noisy array they must consume the noise stream in
+// exactly that per-input order. The Crossbar accessor exposes the
+// underlying array so power readings can be normalized to the paper's
+// weight-unit convention.
 type Hardware interface {
-	// Forward returns the network output for input u.
-	Forward(u []float64) ([]float64, error)
-	// Power returns the read power consumed while processing u.
-	Power(u []float64) (float64, error)
-	// Predict returns the argmax class label for input u.
-	Predict(u []float64) (int, error)
+	// ForwardBatch returns the network output for each input.
+	ForwardBatch(us [][]float64) ([][]float64, error)
+	// ForwardPowerBatch returns the output and the read power for each
+	// input: both attacker observables from one array pass.
+	ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error)
 	// Inputs returns the input dimensionality.
 	Inputs() int
 	// Outputs returns the number of classes.
 	Outputs() int
 	// Crossbar returns the underlying programmed array.
 	Crossbar() *crossbar.Crossbar
-}
-
-// ForwardPowerer is optionally implemented by Hardware that can serve a
-// forward pass and its power measurement as one operation — one array
-// read instead of two. The service layer's coalescer implements it so a
-// power-measuring query costs a single batched round trip. Results must
-// be bit-identical to calling Forward then Power in that order on a
-// noise-free array.
-type ForwardPowerer interface {
-	ForwardPower(u []float64) ([]float64, float64, error)
 }
 
 // Compile-time check that the crossbar network satisfies Hardware.
@@ -226,92 +219,30 @@ func (o *Oracle) Remaining() int {
 	return r
 }
 
-// reserve atomically claims one budget slot. The compare-and-swap loop
-// makes admission exact under contention: the counter can never exceed
-// the budget, so N racing goroutines against budget B get exactly B
-// reservations and N-B ErrBudgetExhausted refusals.
-func (o *Oracle) reserve() error {
-	for {
-		q := o.queries.Load()
-		if o.budget > 0 && q >= int64(o.budget) {
-			return ErrBudgetExhausted
-		}
-		if o.queries.CompareAndSwap(q, q+1) {
-			return nil
-		}
-	}
-}
-
-// release returns a reserved budget slot after a failed query.
-func (o *Oracle) release() { o.queries.Add(-1) }
-
-// Query runs one attacker query against the oracle.
+// Query runs one attacker query against the oracle: the single
+// response of a batch of one, so it shares QueryBatch's admission,
+// hardware read and rollback.
 //
 // Accounting contract: a query is charged if and only if it delivers a
 // Response. The budget slot is reserved atomically up front and rolled
-// back on any hardware error — including a power-read failure after a
-// successful forward pass, and a response that is not finite
-// (ErrNonFinite) — so Queries()/Remaining() always agree with
-// the number of responses the attacker actually received, serially and
-// under concurrency alike.
+// back on any hardware error and on a response that is not finite
+// (ErrNonFinite), so Queries()/Remaining() always agree with the number
+// of responses the attacker actually received, serially and under
+// concurrency alike.
 //
 // The returned Response is owned by the caller: Raw is an independent
 // copy, so mutating it cannot affect the oracle, the underlying
 // hardware, or any other session sharing the same array.
 func (o *Oracle) Query(u []float64) (Response, error) {
-	if err := o.reserve(); err != nil {
-		return Response{}, err
-	}
-	resp, err := o.execute(u)
-	if err != nil {
-		o.release()
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// execute performs the hardware reads for one admitted query.
-func (o *Oracle) execute(u []float64) (Response, error) {
-	var (
-		y   []float64
-		p   float64
-		err error
-	)
-	if o.measurePower {
-		if fp, ok := o.hw.(ForwardPowerer); ok {
-			// One fused read serves both observables (coalesced path).
-			y, p, err = fp.ForwardPower(u)
-		} else {
-			y, err = o.hw.Forward(u)
-			if err == nil {
-				p, err = o.hw.Power(u)
-			}
-		}
-	} else {
-		y, err = o.hw.Forward(u)
-	}
-	if err != nil {
-		return Response{}, err
-	}
-	resp := Response{Label: tensor.ArgMax(y)}
-	if o.mode == RawOutput {
-		resp.Raw = tensor.CloneVec(y)
-	}
-	if o.measurePower {
-		if o.powerNoise > 0 {
-			o.noiseMu.Lock()
-			p *= 1 + o.noiseSrc.Normal(0, o.powerNoise)
-			o.noiseMu.Unlock()
-		}
-		// Normalize to weight units (paper §II-B convention).
-		xb := o.hw.Crossbar()
-		vdd := xb.Config().Vdd
-		resp.Power = p / (vdd * vdd * xb.Scale())
-	}
-	if !deliverable(resp) {
+	resps, err := o.QueryBatch([][]float64{u})
+	switch {
+	case errors.Is(err, ErrNonFinite):
+		// A lone query has no batch index to report.
 		return Response{}, ErrNonFinite
+	case err != nil:
+		return Response{}, err
 	}
-	return resp, nil
+	return resps[0], nil
 }
 
 // deliverable reports whether every field resp would deliver is finite:
@@ -392,13 +323,13 @@ func (o *Oracle) AccuracyOn(ds *dataset.Dataset) (float64, error) {
 	if ds.Len() == 0 {
 		return 0, dataset.ErrEmpty
 	}
+	ys, err := o.hw.ForwardBatch(ds.Rows())
+	if err != nil {
+		return 0, err
+	}
 	correct := 0
-	for i := 0; i < ds.Len(); i++ {
-		label, err := o.hw.Predict(ds.X.Row(i))
-		if err != nil {
-			return 0, err
-		}
-		if label == ds.Labels[i] {
+	for i, y := range ys {
+		if tensor.ArgMax(y) == ds.Labels[i] {
 			correct++
 		}
 	}

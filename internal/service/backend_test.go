@@ -72,14 +72,15 @@ func TestTensorBackendSpecNormalization(t *testing.T) {
 // TestTensorBackendValidation pins the refusal contract: unknown
 // backend names and assertions the server cannot satisfy are immediate
 // bad requests, while a satisfied assertion runs normally and echoes
-// the canonical backend in the result.
+// the canonical backend in the result. All of it is service behaviour,
+// so it runs on the instant stub experiment.
 func TestTensorBackendValidation(t *testing.T) {
+	registerDurabilityExperiments()
 	svc := New(Config{Seed: 1})
 	defer svc.Close()
 	withTB := func(name string) ExperimentSpec {
-		s := expSpec(23)
-		s.Options = &api.ExperimentOptions{TensorBackend: name}
-		return s
+		return ExperimentSpec{Name: "svc-test-quick", Seed: 23,
+			Options: &api.ExperimentOptions{TensorBackend: name}}
 	}
 	if _, err := svc.RunExperiment(withTB("blas")); !errors.Is(err, errBadRequest) {
 		t.Fatalf("unknown backend: err = %v, want bad request", err)

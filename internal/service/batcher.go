@@ -14,10 +14,10 @@ import (
 var ErrVictimClosed = errors.New("service: victim closed")
 
 // batchRequest is one in-flight query travelling through a victim's
-// coalescer. The submitting goroutine owns the request before submit and
-// after done fires; the flusher owns it in between. done is a WaitGroup
-// rather than a channel: it lives inside the request, so a query costs
-// one allocation, not two.
+// coalescer. The submitting goroutine owns the request before submitAll
+// sends it and after done fires; the flusher owns it in between. done
+// is a WaitGroup rather than a channel: it lives inside the request, so
+// a submission costs one allocation for all its requests.
 type batchRequest struct {
 	u         []float64
 	wantPower bool
@@ -32,13 +32,13 @@ type batchRequest struct {
 // since the previous flush and serves it with one ForwardBatch (plain
 // queries) plus one fused ForwardPowerBatch (power-measuring queries) —
 // so under load, N in-flight queries cost two batched array passes
-// instead of up to 2N scalar reads, and a noisy (stateful) array is
+// instead of N separate reads, and a noisy (stateful) array is
 // automatically serialized without a per-read lock.
 //
-// Results are bit-identical to scalar per-call serving for noise-free
-// arrays (the batched kernels pin this); for noisy arrays the flusher's
+// Results are bit-identical to per-call reads for noise-free arrays (the
+// batched kernels pin this); for noisy arrays the flusher's
 // serialization makes results depend on arrival order, exactly as
-// contended scalar reads would.
+// contended per-call reads would.
 type batcher struct {
 	hw   *crossbar.Network
 	reqs chan *batchRequest
@@ -85,62 +85,50 @@ func newBatcher(hw *crossbar.Network) *batcher {
 	return b
 }
 
-// submit enqueues one request and blocks until it is served. The input
-// must stay unmutated until submit returns; the returned y (if any) is
-// backed by the flush's batch slab — per-request distinct, but cloned by
-// the oracle layer before reaching attackers.
-func (b *batcher) submit(r *batchRequest) error {
-	if len(r.u) != b.hw.Inputs() {
-		// Reject before batching so one malformed query can never fail
-		// the flush it would have ridden in.
-		return fmt.Errorf("service: query input length %d, want %d", len(r.u), b.hw.Inputs())
-	}
-	r.done.Add(1)
-	b.sendMu.RLock()
-	if b.closed {
-		b.sendMu.RUnlock()
-		return ErrVictimClosed
-	}
-	b.reqs <- r
-	b.notePeak(int64(len(b.reqs)))
-	b.sendMu.RUnlock()
-	r.done.Wait()
-	return r.err
-}
-
-// submitAll enqueues every request in rs and blocks until all are
-// served — the one-slice feed behind the batched query endpoint. The
-// requests enter the flusher's channel contiguously in slice order, so
-// with no interleaving traffic they ride one flush (or an ordered run
-// of flushes, which serves a noisy array in exactly the same per-input
-// order); either way the victim sees len(rs) queries for a constant
-// number of array passes instead of len(rs) round trips. Returns the
+// submitAll enqueues one request per input and blocks until all are
+// served — the coalescer's one feed, a single query being a batch of
+// one. The requests enter the flusher's channel contiguously in slice
+// order, so with no interleaving traffic they ride one flush (or an
+// ordered run of flushes, which serves a noisy array in exactly the
+// same per-input order); either way the victim sees len(us) queries
+// for a constant number of array passes instead of len(us) round
+// trips. The inputs must stay unmutated until submitAll returns; each
+// served y is backed by its flush's batch slab — per-request distinct,
+// but cloned by the oracle layer before reaching attackers. Returns the
 // first request error, if any.
-func (b *batcher) submitAll(rs []*batchRequest) error {
-	for _, r := range rs {
-		if len(r.u) != b.hw.Inputs() {
-			return fmt.Errorf("service: query input length %d, want %d", len(r.u), b.hw.Inputs())
+func (b *batcher) submitAll(us [][]float64, wantPower bool) ([]batchRequest, error) {
+	for _, u := range us {
+		if len(u) != b.hw.Inputs() {
+			// Reject before batching so one malformed query can never
+			// fail the flush it would have ridden in.
+			return nil, fmt.Errorf("service: query input length %d, want %d", len(u), b.hw.Inputs())
 		}
 	}
+	rs := make([]batchRequest, len(us))
 	b.sendMu.RLock()
 	if b.closed {
 		b.sendMu.RUnlock()
-		return ErrVictimClosed
+		return nil, ErrVictimClosed
 	}
-	for _, r := range rs {
+	for i, u := range us {
+		r := &rs[i]
+		r.u, r.wantPower = u, wantPower
 		r.done.Add(1)
 		b.reqs <- r
 	}
 	b.notePeak(int64(len(b.reqs)))
 	b.sendMu.RUnlock()
 	var err error
-	for _, r := range rs {
-		r.done.Wait()
+	for i := range rs {
+		rs[i].done.Wait()
 		if err == nil {
-			err = r.err
+			err = rs[i].err
 		}
 	}
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // close stops the flusher after it drains every already-submitted

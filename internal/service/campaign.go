@@ -203,13 +203,11 @@ func (s *Service) runCampaign(spec CampaignSpec, v *Victim) (*CampaignResult, er
 
 // oracleHardware returns the hardware view campaign jobs query: always
 // the coalescer. For a noise-free victim coalesced reads are
-// bit-identical to direct scalar reads, so replay determinism is
-// unaffected, and the coalescer's fused ForwardPower path serves each
-// power-measuring collection query with one array pass instead of two —
-// halving the dominant cost of a campaign's collection phase. For a
-// noisy victim the coalescer is also the required serializer (every
-// read mutates the noise stream; results then depend on concurrent
-// traffic, as real shared noisy hardware does).
+// bit-identical to direct reads, so replay determinism is unaffected,
+// and each power-measuring collection query costs one fused array pass.
+// For a noisy victim the coalescer is also the required serializer
+// (every read mutates the noise stream; results then depend on
+// concurrent traffic, as real shared noisy hardware does).
 func (v *Victim) oracleHardware() oracle.Hardware {
 	return coalescedHW{v: v}
 }
@@ -220,14 +218,13 @@ func predictAll(v *Victim, us [][]float64) ([]int, error) {
 	if !v.Noisy() {
 		return v.hw.PredictBatch(us)
 	}
-	c := coalescedHW{v: v}
-	labels := make([]int, len(us))
-	for i, u := range us {
-		l, err := c.Predict(u)
-		if err != nil {
-			return nil, err
-		}
-		labels[i] = l
+	ys, err := coalescedHW{v: v}.ForwardBatch(us)
+	if err != nil {
+		return nil, err
+	}
+	labels := make([]int, len(ys))
+	for i, y := range ys {
+		labels[i] = tensor.ArgMax(y)
 	}
 	return labels, nil
 }
@@ -259,11 +256,18 @@ type ExtractResult = api.ExtractResult
 
 // probeMeter adapts the coalescer to the sidechannel.PowerMeter
 // interface so extraction jobs ride the same batched serving path as
-// sessions.
+// sessions: each probe reading is a fused read of one row.
 type probeMeter struct{ c coalescedHW }
 
-func (m probeMeter) Power(u []float64) (float64, error) { return m.c.Power(u) }
-func (m probeMeter) Inputs() int                        { return m.c.Inputs() }
+func (m probeMeter) Power(u []float64) (float64, error) {
+	_, ps, err := m.c.ForwardPowerBatch([][]float64{u})
+	if err != nil {
+		return 0, err
+	}
+	return ps[0], nil
+}
+
+func (m probeMeter) Inputs() int { return m.c.Inputs() }
 
 // RunExtract executes (or serves from cache) one extraction job. In a
 // cluster the victim's ring owner serves it; other nodes redirect.

@@ -319,6 +319,86 @@ func TestChaosCampaignKillAndRestart(t *testing.T) {
 	}
 }
 
+// TestChaosSyncRelaunchAfterFinish pins replay for a sync job journaled
+// twice under one key: a campaign finished (launch + done), lost its
+// artifact, and its recompute journaled a second launch before the
+// crash. The first run's completion mark must not close the second
+// launch: the next Open replays the job, and registering its victim
+// recomputes the artifact bit-identical to an uninterrupted run.
+func TestChaosSyncRelaunchAfterFinish(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Seed: 11, Workers: 2, StateDir: dir, JournalFsync: true}
+	spec := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 6, Queries: 40, Lambda: 0.1}
+	ref := newTestService(t, Config{Seed: 11, Workers: 2}, buildTestVictim(t, "m", 5))
+	want, err := ref.RunCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s1, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.RunCampaign(spec); err != nil {
+		t.Fatal(err)
+	}
+	// The recompute's crash signature: a second launch under the same
+	// key with no completion mark (RunCampaign journals the defaulted
+	// spec, so mirror that).
+	sd := spec.withDefaults()
+	if err := s1.journalLaunch(journalRecord{Op: opLaunch, ID: sd.key(), Campaign: &sd}); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	// The lost artifact: nothing in spill to serve the replay from.
+	if err := os.RemoveAll(filepath.Join(dir, "spill")); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReplayedCampaigns != 1 {
+		t.Fatalf("recovery = %+v, want the relaunched campaign replayed", rec)
+	}
+	if err := s2.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for s2.Stats().SpilledArtifacts < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("replayed campaign never reached spill")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	got, err := s2.RunCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached {
+		t.Error("replayed campaign recomputed again instead of served from the artifact store")
+	}
+	got.Cached = want.Cached
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed campaign differs from the uninterrupted run:\n%+v\nvs\n%+v", got, want)
+	}
+	s2.Close()
+
+	// The replay's own completion mark closes the job.
+	s3, rec3, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if rec3.ReplayedCampaigns != 0 {
+		t.Fatalf("third open still replays the campaign: %+v", rec3)
+	}
+}
+
 // TestChaosTornJournalTail feeds Open a journal with a crash signature
 // — valid records then half a frame — and requires the intact records
 // recovered, the tear reported, and id assignment to continue past the

@@ -286,12 +286,20 @@ func TestFig5OptionsEndToEnd(t *testing.T) {
 		t.Fatal("optioned job result diverged from direct RunFig5")
 	}
 	// The optioned result must not collide with the default-grid cache
-	// entry.
-	plain, err := svc.RunExperiment(ExperimentSpec{Name: "fig5", Seed: 31, Scale: 0.01})
+	// entry: the keys differ, and outside -short (the full default grid
+	// takes minutes under the race detector) a real run proves it.
+	plain := ExperimentSpec{Name: "fig5", Seed: 31, Scale: 0.01}
+	if specKey(specDefaults(plain)) == specKey(specDefaults(spec)) {
+		t.Fatalf("optioned and default-grid fig5 share the cache key %q", specKey(specDefaults(spec)))
+	}
+	if testing.Short() {
+		return
+	}
+	plainRes, err := svc.RunExperiment(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Cached {
+	if plainRes.Cached {
 		t.Fatal("default-grid run served the optioned artifact")
 	}
 }

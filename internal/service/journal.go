@@ -155,9 +155,11 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 
 	// Replay the previous generation into one table: each launch record
 	// with the completion mark that folds into it (a failed mark wins
-	// over a done one). Unparseable payloads (a future schema) are
-	// skipped, not fatal — losing one job record must not brick the
-	// server.
+	// over a done one). A later launch of a seen id (a sync job
+	// recomputed after losing its artifact) clears the mark, so the job
+	// stays unfinished until that launch's own mark lands. Unparseable
+	// payloads (a future schema) are skipped, not fatal — losing one job
+	// record must not brick the server.
 	type replayed struct {
 		launch journalRecord
 		mark   *journalRecord
@@ -179,6 +181,8 @@ func Open(cfg Config) (*Service, *Recovery, error) {
 			if rec.Spec != nil {
 				experiments++
 			}
+		case rec.Op == opLaunch && seen:
+			r.mark = nil
 		case (rec.Op == opDone || rec.Op == opFailed) && seen && (r.mark == nil || rec.Op == opFailed):
 			r.mark = &rec
 		}

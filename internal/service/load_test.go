@@ -207,8 +207,9 @@ func benchInputs(v *Victim, n int) [][]float64 {
 }
 
 // BenchmarkServingPerCallScalar is the baseline the service replaces:
-// every concurrent client holds its own oracle on the shared array and
-// each power-measuring query costs two scalar reads (forward + power).
+// every concurrent client holds its own oracle directly on the shared
+// array, so each power-measuring query is its own one-row fused read,
+// with no coalescing across clients.
 func BenchmarkServingPerCallScalar(b *testing.B) {
 	v := benchVictim(b, "bench-scalar")
 	rows := benchInputs(v, 64)
@@ -234,8 +235,8 @@ func BenchmarkServingPerCallScalar(b *testing.B) {
 
 // BenchmarkServingCoalesced routes the same concurrent power-measuring
 // traffic through the service: in-flight queries coalesce into fused
-// ForwardPowerBatch reads (one array pass per query instead of two, and
-// per-batch rather than per-call overhead).
+// ForwardPowerBatch reads, with per-batch rather than per-call dispatch
+// overhead.
 func BenchmarkServingCoalesced(b *testing.B) {
 	v := benchVictim(b, "bench-coal")
 	s := New(Config{Seed: 77})

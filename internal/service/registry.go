@@ -94,7 +94,7 @@ func (v *Victim) clean() (float64, error) {
 			v.cleanErr = errors.New("service: victim has no test split")
 			return
 		}
-		labels, err := predictAll(v, datasetRows(v.test))
+		labels, err := predictAll(v, v.test.Rows())
 		if err != nil {
 			v.cleanErr = err
 			return
@@ -108,16 +108,6 @@ func (v *Victim) clean() (float64, error) {
 		v.cleanAcc = float64(correct) / float64(v.test.Len())
 	})
 	return v.cleanAcc, v.cleanErr
-}
-
-// datasetRows exposes a dataset's design matrix as a batch of row views
-// (read-only — callers must not mutate them).
-func datasetRows(ds *dataset.Dataset) [][]float64 {
-	rows := make([][]float64, ds.Len())
-	for i := range rows {
-		rows[i] = ds.X.Row(i)
-	}
-	return rows
 }
 
 // VictimSpec describes a demo victim to train and program from scratch:

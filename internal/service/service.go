@@ -11,7 +11,7 @@
 // of their spec (seeded via rng.Split, fanned out on the deterministic
 // pool), so replays are bit-identical at any worker count and specs
 // double as cache keys. Interactive session traffic against noise-free
-// victims is bit-identical to per-call scalar serving regardless of how
+// victims is bit-identical to uncoalesced per-call reads regardless of how
 // queries coalesce; only noisy (stateful) arrays make interleaved
 // results depend on arrival order — exactly as the physical hardware
 // would.

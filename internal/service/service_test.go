@@ -82,7 +82,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 // TestCoalescedServingBitIdentical pins the whole coalesced session path
 // — forward, raw outputs, fused power — to a reference oracle reading
-// the same array scalar-per-call.
+// the same array directly, one uncoalesced read per call.
 func TestCoalescedServingBitIdentical(t *testing.T) {
 	v := buildTestVictim(t, "m", 3)
 	s := newTestService(t, Config{Seed: 3}, v)
@@ -105,7 +105,7 @@ func TestCoalescedServingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Label != want.Label || got.Power != want.Power {
-			t.Fatalf("query %d: coalesced (%d, %v) != scalar (%d, %v)",
+			t.Fatalf("query %d: coalesced (%d, %v) != direct (%d, %v)",
 				i, got.Label, got.Power, want.Label, want.Power)
 		}
 		for j := range want.Raw {

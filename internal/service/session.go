@@ -10,7 +10,6 @@ import (
 	"xbarsec/internal/crossbar"
 	"xbarsec/internal/oracle"
 	"xbarsec/internal/rng"
-	"xbarsec/internal/tensor"
 )
 
 // ErrSessionUnknown indicates a lookup for a closed, expired or
@@ -22,35 +21,11 @@ var ErrSessionUnknown = errors.New("service: unknown session")
 var ErrSessionLimit = errors.New("service: victim session limit reached")
 
 // coalescedHW adapts a victim's batcher to the oracle.Hardware interface:
-// every read becomes one coalesced round trip through the shared array.
-// It also implements oracle.ForwardPowerer, so a power-measuring query
-// costs a single fused batched read instead of two.
+// each batched read is one submission to the coalescer, whose flusher
+// serves it with whatever else queued meanwhile. A single query is a
+// batch of one, and a power-measuring query costs one fused array pass.
 type coalescedHW struct {
 	v *Victim
-}
-
-func (c coalescedHW) Forward(u []float64) ([]float64, error) {
-	r := &batchRequest{u: u}
-	if err := c.v.batcher.submit(r); err != nil {
-		return nil, err
-	}
-	return r.y, nil
-}
-
-func (c coalescedHW) Power(u []float64) (float64, error) {
-	r := &batchRequest{u: u, wantPower: true}
-	if err := c.v.batcher.submit(r); err != nil {
-		return 0, err
-	}
-	return r.power, nil
-}
-
-func (c coalescedHW) ForwardPower(u []float64) ([]float64, float64, error) {
-	r := &batchRequest{u: u, wantPower: true}
-	if err := c.v.batcher.submit(r); err != nil {
-		return nil, 0, err
-	}
-	return r.y, r.power, nil
 }
 
 // ForwardBatch serves a whole query slice through the coalescer in one
@@ -58,16 +33,13 @@ func (c coalescedHW) ForwardPower(u []float64) ([]float64, float64, error) {
 // client query costs a constant number of array passes instead of
 // len(us) round trips.
 func (c coalescedHW) ForwardBatch(us [][]float64) ([][]float64, error) {
-	rs := make([]*batchRequest, len(us))
-	for i, u := range us {
-		rs[i] = &batchRequest{u: u}
-	}
-	if err := c.v.batcher.submitAll(rs); err != nil {
+	rs, err := c.v.batcher.submitAll(us, false)
+	if err != nil {
 		return nil, err
 	}
-	ys := make([][]float64, len(us))
-	for i, r := range rs {
-		ys[i] = r.y
+	ys := make([][]float64, len(rs))
+	for i := range rs {
+		ys[i] = rs[i].y
 	}
 	return ys, nil
 }
@@ -75,41 +47,23 @@ func (c coalescedHW) ForwardBatch(us [][]float64) ([][]float64, error) {
 // ForwardPowerBatch is the fused batched read: both observables for the
 // whole slice in one submission.
 func (c coalescedHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
-	rs := make([]*batchRequest, len(us))
-	for i, u := range us {
-		rs[i] = &batchRequest{u: u, wantPower: true}
-	}
-	if err := c.v.batcher.submitAll(rs); err != nil {
+	rs, err := c.v.batcher.submitAll(us, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	ys := make([][]float64, len(us))
-	ps := make([]float64, len(us))
-	for i, r := range rs {
-		ys[i], ps[i] = r.y, r.power
+	ys := make([][]float64, len(rs))
+	ps := make([]float64, len(rs))
+	for i := range rs {
+		ys[i], ps[i] = rs[i].y, rs[i].power
 	}
 	return ys, ps, nil
-}
-
-func (c coalescedHW) Predict(u []float64) (int, error) {
-	y, err := c.Forward(u)
-	if err != nil {
-		return 0, err
-	}
-	return tensor.ArgMax(y), nil
 }
 
 func (c coalescedHW) Inputs() int                  { return c.v.hw.Inputs() }
 func (c coalescedHW) Outputs() int                 { return c.v.hw.Outputs() }
 func (c coalescedHW) Crossbar() *crossbar.Crossbar { return c.v.hw.Crossbar() }
 
-// Compile-time checks: the coalescer is oracle hardware with the fused
-// and batched fast paths.
-var (
-	_ oracle.Hardware            = coalescedHW{}
-	_ oracle.ForwardPowerer      = coalescedHW{}
-	_ oracle.ForwardBatcher      = coalescedHW{}
-	_ oracle.ForwardPowerBatcher = coalescedHW{}
-)
+var _ oracle.Hardware = coalescedHW{}
 
 // SessionConfig controls what one attacker session may observe and spend.
 type SessionConfig struct {
