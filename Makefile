@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_JSON ?= BENCH_9.json
+BENCH_JSON ?= BENCH_18.json
 COVER_PROFILE ?= cover.out
 
 .PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json chaos cluster fuzz cover examples test-fast ci
@@ -86,18 +86,22 @@ fmt-check:
 bench:
 	$(GO) test -run XXX -bench 'CrossbarMVM|CrossbarPower|NormExtraction|FGSM' -benchtime 200x .
 
-# Runs the kernel microbenchmarks (many iterations) and the two macro
+# Runs the kernel microbenchmarks (many iterations), the two macro
 # benchmarks the perf trajectory tracks (few iterations — they take
-# seconds each), and records ns/op into $(BENCH_JSON). Commit the result
-# so every PR leaves a BENCH_<n>.json data point. The test runs write to
+# seconds each) and the service's concurrent serving pair, each three
+# times with allocation counts, and records them into $(BENCH_JSON):
+# benchjson folds the repeats into median, min, max and n, and writes
+# the machine and git revision header. Commit the result so every PR
+# leaves a BENCH_<n>.json data point. The test runs write to
 # intermediate files so a failing benchmark fails the target instead of
 # being swallowed by the conversion pipe.
 bench-json:
-	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$' -benchtime 200x . > /tmp/xbarsec-bench-micro.txt
-	$(GO) test -run XXX -bench 'SurrogateTrain|Table1$$|Table1Fast$$|ServeBatchQPS' -benchtime 3x . > /tmp/xbarsec-bench-macro.txt
-	$(GO) test -run XXX -bench 'VictimStoreColdFig3$$|VictimStoreWarmFig3$$|VictimStoreCrossRunnerCold$$|VictimStoreCrossRunnerWarm$$|RegistryReplayWarm$$|ServiceColdRestart$$' -benchtime 3x . > /tmp/xbarsec-bench-store.txt
-	$(GO) test -run XXX -bench 'GemmSweep' -benchtime 50x . > /tmp/xbarsec-bench-sweep.txt
-	cat /tmp/xbarsec-bench-micro.txt /tmp/xbarsec-bench-macro.txt /tmp/xbarsec-bench-store.txt /tmp/xbarsec-bench-sweep.txt | $(GO) run ./cmd/benchjson > $(BENCH_JSON)
+	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$' -benchtime 200x -count 3 -benchmem . > /tmp/xbarsec-bench-micro.txt
+	$(GO) test -run XXX -bench 'SurrogateTrain|Table1$$|Table1Fast$$|ServeBatchQPS' -benchtime 3x -count 3 -benchmem . > /tmp/xbarsec-bench-macro.txt
+	$(GO) test -run XXX -bench 'VictimStoreColdFig3$$|VictimStoreWarmFig3$$|VictimStoreCrossRunnerCold$$|VictimStoreCrossRunnerWarm$$|RegistryReplayWarm$$|ServiceColdRestart$$' -benchtime 3x -count 3 -benchmem . > /tmp/xbarsec-bench-store.txt
+	$(GO) test -run XXX -bench 'GemmSweep' -benchtime 50x -count 3 -benchmem . > /tmp/xbarsec-bench-sweep.txt
+	$(GO) test -run XXX -bench 'Serving' -count 3 -benchmem ./internal/service/ > /tmp/xbarsec-bench-serving.txt
+	cat /tmp/xbarsec-bench-micro.txt /tmp/xbarsec-bench-macro.txt /tmp/xbarsec-bench-store.txt /tmp/xbarsec-bench-sweep.txt /tmp/xbarsec-bench-serving.txt | $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 	@cat $(BENCH_JSON)
 
 # Fault-injection chaos suite under the race detector: the WAL and

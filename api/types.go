@@ -110,7 +110,8 @@ type QueryResponse struct {
 // of oracle queries served as one batched array read. Budget accounting
 // is per query and order-faithful — the batch behaves exactly like
 // submitting the inputs one by one, but costs one round trip and one
-// coalesced flush instead of len(Inputs) of each.
+// array read instead of len(Inputs) of each. On a noisy victim no other
+// submission's reads interleave with the batch.
 type QueryBatchRequest struct {
 	// Inputs are the query vectors, answered in order.
 	Inputs [][]float64 `json:"inputs"`
@@ -321,16 +322,16 @@ type VictimStats struct {
 	Outputs int    `json:"outputs"`
 	// Noisy reports whether the victim's array draws per-read noise.
 	Noisy bool `json:"noisy"`
-	// Requests is the number of queries served through the coalescer.
+	// Requests is the number of query rows read from the array.
 	Requests int64 `json:"requests"`
-	// Batches is the number of coalesced flushes; Requests/Batches is
-	// the achieved coalescing factor.
+	// Batches is the number of array reads, one per submission (a
+	// query, a query batch, a probe reading); Requests/Batches is the
+	// mean rows per read.
 	Batches int64 `json:"batches"`
-	// MaxBatch is the largest single flush.
+	// MaxBatch is the largest single read, in rows.
 	MaxBatch int64 `json:"max_batch"`
-	// QueueDepthPeak is the deepest the victim's coalescing queue has
-	// ever been at submit time — the high-water mark of batching
-	// pressure.
+	// QueueDepthPeak is the most reads ever in flight on the victim at
+	// once, counting those waiting for a noisy array and those reading.
 	QueueDepthPeak int64 `json:"queue_depth_peak"`
 	// OpenSessions counts currently open sessions.
 	OpenSessions int64 `json:"open_sessions"`
@@ -371,12 +372,12 @@ type Stats struct {
 	SpilledArtifacts     int64 `json:"spilled_artifacts"`
 	SpilledArtifactBytes int64 `json:"spilled_artifact_bytes"`
 	SpillHits            int64 `json:"spill_hits"`
-	// Batcher observability, aggregated across victims (additive in
-	// v2.0). BatchFlushes counts coalesced array reads; BatchedQueries
-	// counts the queries they served, so BatchedQueries/BatchFlushes is
-	// the service-wide coalescing factor. MaxBatch is the largest single
-	// flush anywhere; QueueDepthPeak the deepest any victim's queue has
-	// been at submit time.
+	// Array-read observability, aggregated across victims (additive in
+	// v2.0). BatchFlushes counts array reads, one per submission;
+	// BatchedQueries counts the rows they read, so
+	// BatchedQueries/BatchFlushes is the service-wide mean rows per
+	// read. MaxBatch is the largest single read anywhere;
+	// QueueDepthPeak the most reads in flight on any one victim.
 	BatchFlushes   int64 `json:"batch_flushes"`
 	BatchedQueries int64 `json:"batched_queries"`
 	MaxBatch       int64 `json:"max_batch"`

@@ -67,13 +67,12 @@ func (s *Session) Query(ctx context.Context, input []float64) (api.QueryResponse
 }
 
 // QueryBatch runs a whole query slice in one HTTP round trip, served
-// server-side as one coalesced batch: responses are bit-identical to
+// server-side as one array read: responses are bit-identical to
 // len(inputs) sequential Query calls, budget accounting is per query
 // (after mid-batch exhaustion the remaining outcomes carry the typed
-// error "budget_exhausted"), but the cost is one round trip and a
-// constant number of array passes. This is the path that makes remote
-// collection scale with the server's coalescer instead of with HTTP
-// latency.
+// error "budget_exhausted"), but the cost is one round trip and one
+// array pass. This is the path that makes remote collection scale with
+// the batch size instead of with HTTP latency.
 func (s *Session) QueryBatch(ctx context.Context, inputs [][]float64) (api.QueryBatchResponse, error) {
 	var out api.QueryBatchResponse
 	err := s.query(ctx, "/queries", inputs, api.QueryBatchRequest{Inputs: inputs}, &out)

@@ -1,94 +1,191 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // BENCH_*.json format the repo uses to record its performance trajectory:
-// one entry per benchmark with its iteration count and ns/op. Lines that
-// are not benchmark results are skipped, so several -bench runs can be
-// concatenated:
+// a header naming the machine (go test's goos, goarch and cpu lines) and
+// the git revision, then one entry per benchmark. Lines that are neither
+// benchmark results nor header lines are skipped, so several -bench runs
+// can be concatenated. The -count repeats of one benchmark fold into one
+// entry: ns/op and every other metric (B/op and allocs/op under
+// -benchmem, custom b.ReportMetric units) become their median, and the
+// entry records the repeat count and the ns/op range:
 //
-//	{ go test -run XXX -bench 'Gemm' -benchtime 200x .; \
-//	  go test -run XXX -bench 'Table1$' -benchtime 3x .; } \
-//	  | go run ./cmd/benchjson > BENCH_2.json
+//	{ go test -run XXX -bench 'Gemm' -benchtime 200x -count 3 -benchmem .; \
+//	  go test -run XXX -bench 'Table1$' -benchtime 3x -count 3 -benchmem .; } \
+//	  | go run ./cmd/benchjson > BENCH_18.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Entry is one benchmark measurement. Metrics holds any custom
-// b.ReportMetric values the benchmark emitted beyond ns/op (e.g.
-// "queries/s" from the batched-serving benchmark) — additive, so the
-// schema tag is unchanged.
+// Entry is one benchmark's measurements, folded over its repeats.
+// NsPerOp, Iters and each Metrics value are medians over the N repeats;
+// MinNsPerOp and MaxNsPerOp bound the repeats' ns/op.
 type Entry struct {
-	Name    string             `json:"name"`
-	Iters   int64              `json:"iterations"`
-	NsPerOp float64            `json:"ns_per_op"`
-	MsPerOp float64            `json:"ms_per_op"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Name       string             `json:"name"`
+	Iters      int64              `json:"iterations"`
+	NsPerOp    float64            `json:"ns_per_op"`
+	MsPerOp    float64            `json:"ms_per_op"`
+	MinNsPerOp float64            `json:"min_ns_per_op"`
+	MaxNsPerOp float64            `json:"max_ns_per_op"`
+	N          int                `json:"n"`
+	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the BENCH_*.json schema.
+// Report is the BENCH_*.json schema. v2 added the header and the
+// repeat fields; a v2 entry with n = 1 reads as a v1 entry.
 type Report struct {
 	Schema     string  `json:"schema"`
+	GOOS       string  `json:"goos,omitempty"`
+	GOARCH     string  `json:"goarch,omitempty"`
+	CPU        string  `json:"cpu,omitempty"`
+	Revision   string  `json:"revision,omitempty"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
 func main() {
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	rep := Report{Schema: "xbarsec-bench/v1"}
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		// Shape: BenchmarkName[-P] N X ns/op [more metrics...]
-		if len(fields) < 4 {
-			continue
-		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			name = name[:i] // strip the GOMAXPROCS suffix
-		}
-		name = strings.TrimPrefix(name, "Benchmark")
-		for i := 2; i < len(fields); i++ {
-			if fields[i] != "ns/op" {
-				continue
-			}
-			ns, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				break
-			}
-			iters, _ := strconv.ParseInt(fields[1], 10, 64)
-			e := Entry{Name: name, Iters: iters, NsPerOp: ns, MsPerOp: ns / 1e6}
-			// Remaining fields come in (value, unit) pairs — custom
-			// b.ReportMetric output (B/op and allocs/op too, when -benchmem).
-			for j := i + 2; j < len(fields); j += 2 {
-				v, err := strconv.ParseFloat(fields[j-1], 64)
-				if err != nil {
-					continue
-				}
-				if e.Metrics == nil {
-					e.Metrics = make(map[string]float64)
-				}
-				e.Metrics[fields[j]] = v
-			}
-			rep.Benchmarks = append(rep.Benchmarks, e)
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	rep.Revision = revision()
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 	os.Stdout.Write(append(out, '\n'))
+}
+
+// samples collects one benchmark's repeats.
+type samples struct {
+	iters   []float64
+	ns      []float64
+	metrics map[string][]float64
+}
+
+// parse reads go test -bench output: the first goos, goarch and cpu
+// lines fill the header, and every result line adds a sample to its
+// benchmark, entries keeping the order in which names first appear.
+func parse(r io.Reader) (Report, error) {
+	rep := Report{Schema: "xbarsec-bench/v2"}
+	byName := map[string]*samples{}
+	var order []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		headerField(&rep.GOOS, line, "goos: ")
+		headerField(&rep.GOARCH, line, "goarch: ")
+		headerField(&rep.CPU, line, "cpu: ")
+		name, iters, ns, metrics, ok := parseResult(line)
+		if !ok {
+			continue
+		}
+		s := byName[name]
+		if s == nil {
+			s = &samples{metrics: map[string][]float64{}}
+			byName[name] = s
+			order = append(order, name)
+		}
+		s.iters = append(s.iters, float64(iters))
+		s.ns = append(s.ns, ns)
+		for unit, v := range metrics {
+			s.metrics[unit] = append(s.metrics[unit], v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Report{}, err
+	}
+	rep.Benchmarks = []Entry{}
+	for _, name := range order {
+		s := byName[name]
+		ns := median(s.ns)
+		e := Entry{
+			Name:       name,
+			Iters:      int64(median(s.iters)),
+			NsPerOp:    ns,
+			MsPerOp:    ns / 1e6,
+			MinNsPerOp: slices.Min(s.ns),
+			MaxNsPerOp: slices.Max(s.ns),
+			N:          len(s.ns),
+		}
+		for unit, vs := range s.metrics {
+			if e.Metrics == nil {
+				e.Metrics = map[string]float64{}
+			}
+			e.Metrics[unit] = median(vs)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, e)
+	}
+	return rep, nil
+}
+
+// headerField sets *dst from a header line with the given prefix, keeping
+// the first value seen across concatenated runs.
+func headerField(dst *string, line, prefix string) {
+	if v, ok := strings.CutPrefix(line, prefix); ok && *dst == "" {
+		*dst = strings.TrimSpace(v)
+	}
+}
+
+// parseResult parses one result line,
+// "BenchmarkName[-P] N X ns/op [value unit]...", returning the name
+// without the Benchmark prefix and the GOMAXPROCS suffix, and every
+// metric after ns/op keyed by its unit.
+func parseResult(line string) (name string, iters int64, ns float64, metrics map[string]float64, ok bool) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || fields[3] != "ns/op" {
+		return "", 0, 0, nil, false
+	}
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return "", 0, 0, nil, false
+	}
+	if ns, err = strconv.ParseFloat(fields[2], 64); err != nil {
+		return "", 0, 0, nil, false
+	}
+	name = strings.TrimPrefix(fields[0], "Benchmark")
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	metrics = map[string]float64{}
+	for j := 5; j < len(fields); j += 2 {
+		if v, err := strconv.ParseFloat(fields[j-1], 64); err == nil {
+			metrics[fields[j]] = v
+		}
+	}
+	return name, iters, ns, metrics, true
+}
+
+// median returns the middle of vs, the mean of the two middle values
+// for an even count.
+func median(vs []float64) float64 {
+	s := slices.Sorted(slices.Values(vs))
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// revision names the checkout the benchmarks ran in: the HEAD commit,
+// suffixed "-dirty" when tracked files differ from it, or "" outside a
+// git checkout.
+func revision() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }

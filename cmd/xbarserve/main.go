@@ -404,7 +404,7 @@ func runSmoke(ctx context.Context, svc *service.Service, url string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("smoke: stats ok (%d queries in %d coalesced flushes, max batch %d)\n",
+	fmt.Printf("smoke: stats ok (%d queries in %d array reads, max batch %d)\n",
 		st.Victims[0].Requests, st.Victims[0].Batches, st.Victims[0].MaxBatch)
 	fmt.Println("smoke: ok")
 	return nil

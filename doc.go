@@ -29,8 +29,8 @@
 //     internal/service; -server URL runs remotely through the SDK
 //   - cmd/xbarserve  — HTTP front end for the concurrent attack-campaign
 //     service (internal/service): multi-tenant victim registry, budgeted
-//     attacker sessions (idle-TTL eviction, per-victim caps), coalesced
-//     batched serving, cached campaign jobs, and server-side experiment
+//     attacker sessions (idle-TTL eviction, per-victim caps), batched
+//     serving, cached campaign jobs, and server-side experiment
 //     jobs (/v2/experiments); -smoke self-checks through the SDK
 //   - examples/      — runnable walkthroughs of the public workflow
 //   - bench_test.go  — one benchmark per table/figure plus victim-store

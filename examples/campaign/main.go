@@ -68,8 +68,8 @@ func main() {
 
 	// Eight attackers share the victim. Each gets its own session — its
 	// own disclosure mode, query budget and noise stream — and submits
-	// its queries as ONE batched round trip; the service coalesces all
-	// in-flight work into batched array reads. Budget admission stays
+	// its queries as ONE batched round trip, which the service serves
+	// as one batched array read. Budget admission stays
 	// exact: a 40-input batch against a budget of 25 yields exactly 25
 	// responses, the rest carry the typed budget_exhausted error.
 	const attackers = 8
@@ -104,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("coalescing: %d queries served in %d batched reads (largest batch %d)\n",
+	fmt.Printf("serving: %d queries served in %d array reads (largest read %d)\n",
 		st.Victims[0].Requests, st.Victims[0].Batches, st.Victims[0].MaxBatch)
 
 	// A campaign job: collect 150 raw-output+power queries, train a

@@ -169,7 +169,8 @@ func checkHotComposite(pass *analysis.Pass, allow *allowed, lit *ast.CompositeLi
 // reuseAppend reports whether an append call follows the scratch-reuse
 // idiom: append(x[:0], ...) directly, or append(s, ...) where s is a
 // variable that is (re)initialized from a [:0] reslice somewhere in the
-// function — the amortized high-water-mark pattern of the coalescer.
+// function — the amortized high-water-mark pattern of a reused scratch
+// buffer.
 func reuseAppend(pass *analysis.Pass, call *ast.CallExpr, scratch map[types.Object]bool) bool {
 	if len(call.Args) == 0 {
 		return false

@@ -123,7 +123,7 @@ func (x *Crossbar) PowerBatch(us [][]float64) ([]float64, error) {
 
 // Noisy reports whether the array draws per-read noise, making it
 // stateful: every read consumes the noise stream, so concurrent callers
-// must serialize access (the service layer's coalescer does) and results
+// must serialize access (the service layer's read guard does) and results
 // depend on read order.
 func (x *Crossbar) Noisy() bool { return x.reads != nil }
 
@@ -136,7 +136,7 @@ func (n *Network) Noisy() bool { return n.xbar.Noisy() }
 // observables a power-measuring attacker gets from one inference. For a
 // noise-free array the two matrices are walked in one fused pass per
 // input with a single backing allocation for the whole batch, which is
-// what makes coalesced power-measuring serving cheaper than per-call
+// what makes fused power-measuring serving cheaper than per-call
 // Forward-then-Power reads. Each accumulator keeps the exact operation
 // order of its scalar counterpart, so results are bit-identical to
 // calling OutputCurrents then TotalCurrent once per input; for a noisy

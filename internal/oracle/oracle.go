@@ -22,11 +22,12 @@ import (
 
 // Hardware is the device interface an Oracle queries: a crossbar-hosted
 // network (the concrete *crossbar.Network) or any proxy in front of one,
-// such as the service layer's query coalescer or the fault harness. Both
-// reads take a batch, and a single query is a batch of one. Results must
-// be bit-identical to calling Forward (then Power) on the array once per
-// input in order; on a noisy array they must consume the noise stream in
-// exactly that per-input order. The Crossbar accessor exposes the
+// such as the service layer's guarded victim reads or the fault harness.
+// Both reads take a batch, and a single query is a batch of one. Results
+// must be bit-identical to calling Forward (then Power) on the array once
+// per input in order; on a noisy array they must consume the noise
+// stream in exactly that per-input order, as one contiguous run: no
+// other caller's reads may interleave with a batch. The Crossbar accessor exposes the
 // underlying array so power readings can be normalized to the paper's
 // weight-unit convention.
 type Hardware interface {

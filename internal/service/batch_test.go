@@ -141,7 +141,7 @@ func assertResponseEqual(t *testing.T, i int, got, want oracle.Response) {
 // each submitting batches against ONE shared noise-free victim, while a
 // twin service serves the same inputs sequentially — every session's
 // batch must still match its sequential twin bit for bit, no matter how
-// the coalescer interleaves the concurrent batches. (Noise-free only:
+// the concurrent batches interleave. (Noise-free only:
 // on a noisy array concurrent interleaving legitimately changes the
 // stream, exactly as contended physical hardware would.) Run under
 // -race this is also the batched path's data-race gate.
@@ -275,4 +275,99 @@ func TestQueryBatchConcurrentAdmissionExact(t *testing.T) {
 	if sess.Queries() != budget {
 		t.Fatalf("charged %d on budget %d", sess.Queries(), budget)
 	}
+}
+
+// TestNoisyVictimSubmissionsContiguous pins the noisy-array serving
+// guarantee: a read-noisy victim serves each submission as one
+// contiguous run of reads. Two sessions send a 24-row QueryBatch at
+// once; their responses must equal one of the two whole-submission
+// serial orders, each replayed on a twin victim (same seed, so the same
+// noise stream). Interleaved rows would consume the noise stream in
+// neither order.
+func TestNoisyVictimSubmissionsContiguous(t *testing.T) {
+	const seed, rows = 45, 24
+	dev := testDevices()["noisy"]
+	cfg := SessionConfig{Mode: oracle.RawOutput, MeasurePower: true, Budget: rows}
+	open := func() (*Victim, [2]*Session) {
+		v := buildTestVictimDevice(t, "twin", seed, dev)
+		s := newTestService(t, Config{Seed: seed}, v)
+		var sess [2]*Session
+		for i := range sess {
+			var err error
+			if sess[i], err = s.OpenSession("twin", cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v, sess
+	}
+	v, _ := open()
+	var inputs [2][][]float64
+	for i := range inputs {
+		for r := 0; r < rows; r++ {
+			inputs[i] = append(inputs[i], v.test.X.Row(i*rows+r))
+		}
+	}
+	// serial[first] holds both sessions' responses when session first's
+	// whole submission is served before the other's.
+	var serial [2][2][]oracle.Response
+	for first := range serial {
+		_, sess := open()
+		for _, i := range []int{first, 1 - first} {
+			resps, err := sess[i].QueryBatch(inputs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial[first][i] = resps
+		}
+	}
+	if sameResponses(serial[0], serial[1]) {
+		t.Fatal("both serial orders give the same responses, so no interleaving could show")
+	}
+	for trial := 0; trial < 20; trial++ {
+		_, sess := open()
+		var got [2][]oracle.Response
+		var errs [2]error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range sess {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				got[i], errs[i] = sess[i].QueryBatch(inputs[i])
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !sameResponses(got, serial[0]) && !sameResponses(got, serial[1]) {
+			t.Fatalf("trial %d: concurrent submissions match neither serial order: their rows interleaved", trial)
+		}
+	}
+}
+
+// sameResponses reports whether two sessions' response lists are equal
+// bit for bit.
+func sameResponses(a, b [2][]oracle.Response) bool {
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j, r := range a[i] {
+			w := b[i][j]
+			if r.Label != w.Label || r.Power != w.Power || len(r.Raw) != len(w.Raw) {
+				return false
+			}
+			for k := range w.Raw {
+				if r.Raw[k] != w.Raw[k] {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

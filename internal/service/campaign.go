@@ -88,6 +88,9 @@ func (c CampaignSpec) check() error {
 	if c.Queries <= 0 {
 		return badRequestf("service: campaign query budget %d must be positive", c.Queries)
 	}
+	if c.SurrogateEpochs < 0 || c.SurrogateEpochs > maxSurrogateEpochs {
+		return badRequestf("service: campaign surrogate epochs %d outside [0, %d]", c.SurrogateEpochs, maxSurrogateEpochs)
+	}
 	switch c.Mode {
 	case oracle.LabelOnly, oracle.RawOutput:
 		return nil
@@ -96,8 +99,8 @@ func (c CampaignSpec) check() error {
 }
 
 // runCampaignJob is RunCampaign minus ring admission and the spec check
-// — the journal replay path (drainPendingSync) takes it, because a
-// journaled job passed the check at launch and is this node's to finish
+// — the journal replay path (drainPendingSync) takes it after running
+// the check itself, because a journaled job is this node's to finish
 // regardless of membership changes across the restart.
 func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
 	if s.isClosed() {
@@ -140,8 +143,7 @@ func (s *Service) runCampaignJob(spec CampaignSpec) (*CampaignResult, error) {
 // runCampaign is the deterministic pipeline body.
 func (s *Service) runCampaign(spec CampaignSpec, v *Victim) (*CampaignResult, error) {
 	root := rng.New(spec.Seed).Split("campaign").Split(v.name)
-	hw := v.oracleHardware()
-	orc, err := oracle.New(hw, oracle.Config{
+	orc, err := oracle.New(victimHW{v: v}, oracle.Config{
 		Mode: spec.Mode, MeasurePower: true, Budget: spec.Queries,
 	})
 	if err != nil {
@@ -201,24 +203,13 @@ func (s *Service) runCampaign(spec CampaignSpec, v *Victim) (*CampaignResult, er
 	}, nil
 }
 
-// oracleHardware returns the hardware view campaign jobs query: always
-// the coalescer. For a noise-free victim coalesced reads are
-// bit-identical to direct reads, so replay determinism is unaffected,
-// and each power-measuring collection query costs one fused array pass.
-// For a noisy victim the coalescer is also the required serializer
-// (every read mutates the noise stream; results then depend on
-// concurrent traffic, as real shared noisy hardware does).
-func (v *Victim) oracleHardware() oracle.Hardware {
-	return coalescedHW{v: v}
-}
-
-// predictAll classifies a batch of inputs on the victim, routing through
-// the batched predictor (noise-free) or the coalescer (noisy).
+// predictAll classifies a batch of inputs on the victim, through the
+// batched predictor (noise-free) or the read guard (noisy).
 func predictAll(v *Victim, us [][]float64) ([]int, error) {
 	if !v.Noisy() {
 		return v.hw.PredictBatch(us)
 	}
-	ys, err := coalescedHW{v: v}.ForwardBatch(us)
+	ys, err := victimHW{v: v}.ForwardBatch(us)
 	if err != nil {
 		return nil, err
 	}
@@ -234,6 +225,24 @@ func predictAll(v *Victim, us [][]float64) ([]int, error) {
 // optional instrument noise. It is served verbatim on the wire, so it
 // is defined by the public protocol package.
 type ExtractSpec = api.ExtractRequest
+
+// maxExtractRepeats bounds ExtractSpec.Repeats: an extraction makes
+// Inputs × Repeats probe reads while holding a job-gate slot, so an
+// unbounded count would hold that slot for ever. The largest count the
+// experiments use is 16 (ablation A1); 1000 leaves headroom.
+const maxExtractRepeats = 1000
+
+// checkExtract rejects the extraction spec fields that need no victim.
+// RunExtract runs it before ring admission, like CampaignSpec.check.
+func checkExtract(e ExtractSpec) error {
+	if e.NoiseStd < 0 {
+		return badRequestf("service: negative probe noise %v", e.NoiseStd)
+	}
+	if e.Repeats < 0 || e.Repeats > maxExtractRepeats {
+		return badRequestf("service: extraction repeats %d outside [0, %d]", e.Repeats, maxExtractRepeats)
+	}
+	return nil
+}
 
 // extractDefaults normalizes an extraction spec's optional fields.
 func extractDefaults(e ExtractSpec) ExtractSpec {
@@ -254,27 +263,26 @@ func extractKey(e ExtractSpec) string {
 // type).
 type ExtractResult = api.ExtractResult
 
-// probeMeter adapts the coalescer to the sidechannel.PowerMeter
-// interface so extraction jobs ride the same batched serving path as
-// sessions: each probe reading is a fused read of one row.
-type probeMeter struct{ c coalescedHW }
+// probeMeter adapts a victim's guarded reads to the
+// sidechannel.PowerMeter interface so extraction jobs read the array
+// the way sessions do: each probe reading is a fused read of one row.
+type probeMeter struct{ h victimHW }
 
 func (m probeMeter) Power(u []float64) (float64, error) {
-	_, ps, err := m.c.ForwardPowerBatch([][]float64{u})
+	_, ps, err := m.h.ForwardPowerBatch([][]float64{u})
 	if err != nil {
 		return 0, err
 	}
 	return ps[0], nil
 }
 
-func (m probeMeter) Inputs() int { return m.c.Inputs() }
+func (m probeMeter) Inputs() int { return m.h.Inputs() }
 
 // RunExtract executes (or serves from cache) one extraction job. In a
 // cluster the victim's ring owner serves it; other nodes redirect.
 func (s *Service) RunExtract(spec ExtractSpec) (*ExtractResult, error) {
-	// Checked before ring admission, like CampaignSpec.check.
-	if spec.NoiseStd < 0 {
-		return nil, badRequestf("service: negative probe noise %v", spec.NoiseStd)
+	if err := checkExtract(spec); err != nil {
+		return nil, err
 	}
 	if err := s.routeVictim(spec.Victim); err != nil {
 		return nil, err
@@ -282,7 +290,7 @@ func (s *Service) RunExtract(spec ExtractSpec) (*ExtractResult, error) {
 	return s.runExtractJob(spec)
 }
 
-// runExtractJob is RunExtract minus ring admission and the noise check
+// runExtractJob is RunExtract minus ring admission and the spec check
 // (see runCampaignJob).
 func (s *Service) runExtractJob(spec ExtractSpec) (*ExtractResult, error) {
 	if s.isClosed() {
@@ -320,7 +328,7 @@ func (s *Service) runExtract(spec ExtractSpec, v *Victim) (*ExtractResult, error
 	if spec.NoiseStd > 0 {
 		src = rng.New(spec.Seed).Split("extract").Split(v.name)
 	}
-	probe, err := sidechannel.NewProbe(probeMeter{c: coalescedHW{v: v}}, spec.NoiseStd, src)
+	probe, err := sidechannel.NewProbe(probeMeter{h: victimHW{v: v}}, spec.NoiseStd, src)
 	if err != nil {
 		return nil, err
 	}

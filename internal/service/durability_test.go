@@ -399,6 +399,111 @@ func TestChaosSyncRelaunchAfterFinish(t *testing.T) {
 	}
 }
 
+// TestChaosSyncReplayServedFromSpill pins the completion mark of a
+// replayed sync job that spill serves: a campaign finished and spilled,
+// then a second launch under its key was journaled with no mark. The
+// next Open replays it, the replay and the client's retry are served
+// from spill, and that spill hit must journal the mark — a third Open
+// has nothing left to replay.
+func TestChaosSyncReplayServedFromSpill(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Seed: 11, Workers: 2, StateDir: dir, JournalFsync: true}
+	spec := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 6, Queries: 40, Lambda: 0.1}
+
+	s1, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.RunCampaign(spec); err != nil {
+		t.Fatal(err)
+	}
+	sd := spec.withDefaults()
+	if err := s1.journalLaunch(journalRecord{Op: opLaunch, ID: sd.key(), Campaign: &sd}); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	s2, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReplayedCampaigns != 1 {
+		t.Fatalf("recovery = %+v, want the relaunched campaign replayed", rec)
+	}
+	if err := s2.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s2.RunCampaign(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached {
+		t.Error("replayed campaign recomputed instead of served from the artifact store")
+	}
+	s2.Close()
+
+	s3, rec3, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if rec3.ReplayedCampaigns != 0 {
+		t.Fatalf("third open still replays the spill-served campaign: %+v", rec3)
+	}
+}
+
+// TestChaosSyncReplayRefusesUnboundedSpec pins replay of a sync launch
+// journaled before the spec bounds existed: a campaign whose surrogate
+// epochs and an extraction whose repeats are past their bounds. Such a
+// job would compute for ever and replay at every boot; Register must
+// retire each with a failed mark instead of computing it, so the next
+// Open replays neither.
+func TestChaosSyncReplayRefusesUnboundedSpec(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Seed: 11, Workers: 2, StateDir: dir, JournalFsync: true}
+	cs := CampaignSpec{Victim: "m", Mode: oracle.RawOutput, Seed: 6, Queries: 40, SurrogateEpochs: 1 << 30}.withDefaults()
+	es := extractDefaults(ExtractSpec{Victim: "m", Seed: 5, Repeats: 1 << 30})
+
+	s1, _, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.journalLaunch(journalRecord{Op: opLaunch, ID: cs.key(), Campaign: &cs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.journalLaunch(journalRecord{Op: opLaunch, ID: extractKey(es), Extract: &es}); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	s2, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReplayedCampaigns != 1 || rec.ReplayedExtracts != 1 {
+		t.Fatalf("recovery = %+v, want both unfinished launches found", rec)
+	}
+	if err := s2.Register(buildTestVictim(t, "m", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.CacheMisses != 0 || st.Campaigns != 0 {
+		t.Fatalf("an unbounded replay started computing: %d cache misses, %d campaigns", st.CacheMisses, st.Campaigns)
+	}
+	s2.Close()
+
+	s3, rec3, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if rec3.ReplayedCampaigns != 0 || rec3.ReplayedExtracts != 0 {
+		t.Fatalf("third open still replays the unbounded jobs: %+v", rec3)
+	}
+}
+
 // TestChaosTornJournalTail feeds Open a journal with a crash signature
 // — valid records then half a frame — and requires the intact records
 // recovered, the tear reported, and id assignment to continue past the
@@ -747,7 +852,7 @@ func TestChaosSyncJournalFull(t *testing.T) {
 	}
 	after := s.Stats()
 	// Nothing computed: no campaign counted, no artifact spilled, and not
-	// one probe or collection query reached the victim's coalescer.
+	// one probe or collection query reached the victim's array.
 	if after.Campaigns != before.Campaigns || after.SpilledArtifacts != before.SpilledArtifacts ||
 		after.BatchedQueries != before.BatchedQueries {
 		t.Fatalf("refused jobs computed: campaigns %d -> %d, spilled %d -> %d, batched queries %d -> %d",

@@ -108,7 +108,8 @@ func fig5OptionsOf(e ExperimentSpec) *api.Fig5Options {
 
 // Option-grid bounds: one unauthenticated request must not be able to
 // size server allocations arbitrarily. The paper's densest fig5 grid is
-// 7 budgets x 6 lambdas.
+// 7 budgets x 6 lambdas. maxSurrogateEpochs also bounds a campaign's
+// SurrogateEpochs: training holds a job-gate slot for every epoch.
 const (
 	maxOptionGrid       = 64
 	maxSurrogateEpochs  = 10000

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"xbarsec/api"
 	"xbarsec/client"
@@ -170,10 +171,15 @@ func TestHTTPCampaignExtractBadRequest(t *testing.T) {
 		{"session-only victim", "/campaigns", `{"victim":"bare","mode":"label-only","queries":10}`},
 		{"zero queries", "/campaigns", `{"victim":"mnist-toy","mode":"label-only","queries":0}`},
 		{"negative noise", "/extract", `{"victim":"mnist-toy","noise_std":-1}`},
+		{"unbounded surrogate epochs", "/campaigns", `{"victim":"mnist-toy","mode":"label-only","queries":10,"surrogate_epochs":1073741824}`},
+		{"unbounded repeats", "/extract", `{"victim":"mnist-toy","repeats":1073741824}`},
 	}
+	// An accepted unbounded job would compute for ever; the timeout
+	// turns that into a failure instead of a hang.
+	client := &http.Client{Timeout: 30 * time.Second}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+api.PathPrefix+tc.path, "application/json", strings.NewReader(tc.body))
+			resp, err := client.Post(ts.URL+api.PathPrefix+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,6 +70,18 @@ type journalRecord struct {
 	Err      string          `json:"err,omitempty"`      // failed only
 }
 
+// check runs a sync launch's spec checks (CampaignSpec.check,
+// checkExtract); experiment records pass.
+func (r journalRecord) check() error {
+	switch {
+	case r.Campaign != nil:
+		return r.Campaign.check()
+	case r.Extract != nil:
+		return checkExtract(*r.Extract)
+	}
+	return nil
+}
+
 // victimName returns the victim a sync (campaign/extract) launch record
 // targets, or "" for experiment records.
 func (r journalRecord) victimName() string {
@@ -342,7 +354,8 @@ func (s *Service) journalFinish(id string, jobErr error) {
 // when launch is non-nil (a campaign or extraction; experiment jobs are
 // journaled by LaunchExperiment); the gated compute; write-through to
 // spill, so a crash right after never forces a recompute; and the
-// completion mark. cached reports a memory, spill or peer hit. A failed
+// completion mark, which a journaled job's spill hit also writes.
+// cached reports a memory, spill or peer hit. A failed
 // flight, a refused journal append included, is not cached, so a retry
 // starts over. The returned artifact is shared with every later caller.
 func serveArtifact[T any](s *Service, key string, launch *journalRecord, peer func(key string) *T, compute func() (*T, error)) (*T, bool, error) {
@@ -352,6 +365,12 @@ func serveArtifact[T any](s *Service, key string, launch *journalRecord, peer fu
 	val, cached, err := s.cache.Do(key, func() (any, error) {
 		if res := spillLoad[T](s, key); res != nil {
 			hit = true
+			if launch != nil {
+				// A launch Open replays may finish as a spill hit; its
+				// mark keeps the next Open from replaying it again. A
+				// mark with no launch record is ignored there.
+				s.journalFinish(launch.ID, nil)
+			}
 			return res, nil
 		}
 		if peer != nil {

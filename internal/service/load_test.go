@@ -14,12 +14,12 @@ import (
 )
 
 // TestConcurrentSessionLoad is the service-layer load test: ten sessions
-// (two goroutines each) hammer one victim through the coalescer while
-// extraction and campaign jobs run alongside. Every delivered response
-// is checked bit-for-bit against a serial reference oracle, every
-// session budget must be admitted exactly, and the batcher's served
-// count must equal the queries that were actually granted — refused
-// queries may never reach the array. Run under -race this is the
+// (two goroutines each) hammer one victim while extraction and campaign
+// jobs run alongside. Every delivered response is checked bit-for-bit
+// against a serial reference oracle, every session budget must be
+// admitted exactly, and the victim's served count must equal the
+// queries that were actually granted — refused queries may never reach
+// the array. Run under -race this is the
 // honesty check for the whole concurrent layer.
 func TestConcurrentSessionLoad(t *testing.T) {
 	v := buildTestVictim(t, "m", 42)
@@ -142,13 +142,13 @@ func TestConcurrentSessionLoad(t *testing.T) {
 	// Exactly the granted session queries, plus the two unique
 	// extraction sweeps — N basis reads for the deduplicated repeats=1
 	// spec, 2N for the repeats=2 spec — plus the campaign's 20
-	// collection queries (all jobs ride the coalescer; only batched
-	// post-hoc evaluation like PredictBatch reads the noise-free array
-	// directly) — and nothing for the refused queries, which must never
-	// reach the array.
+	// collection queries (every job reads through the victim's guard;
+	// only batched post-hoc evaluation like PredictBatch reads the
+	// noise-free array directly) — and nothing for the refused queries,
+	// which must never reach the array.
 	wantRequests := totalGranted + int64(v.Inputs()) + int64(2*v.Inputs()) + 20
 	if vs.Requests != wantRequests {
-		t.Fatalf("batcher served %d requests, want %d", vs.Requests, wantRequests)
+		t.Fatalf("victim served %d requests, want %d", vs.Requests, wantRequests)
 	}
 	if vs.Batches <= 0 || vs.Batches > vs.Requests {
 		t.Fatalf("batches = %d out of range (requests %d)", vs.Batches, vs.Requests)
@@ -159,7 +159,7 @@ func TestConcurrentSessionLoad(t *testing.T) {
 	if vs.OpenSessions != sessions {
 		t.Fatalf("open sessions = %d, want %d", vs.OpenSessions, sessions)
 	}
-	t.Logf("coalescing: %d requests in %d batches (max %d, mean %.2f)",
+	t.Logf("serving: %d requests in %d batches (max %d, mean %.2f)",
 		vs.Requests, vs.Batches, vs.MaxBatch, float64(vs.Requests)/float64(vs.Batches))
 }
 
@@ -206,10 +206,10 @@ func benchInputs(v *Victim, n int) [][]float64 {
 	return us
 }
 
-// BenchmarkServingPerCallScalar is the baseline the service replaces:
+// BenchmarkServingPerCallScalar is the floor for BenchmarkServingSession:
 // every concurrent client holds its own oracle directly on the shared
 // array, so each power-measuring query is its own one-row fused read,
-// with no coalescing across clients.
+// with no session, guard or counters in between.
 func BenchmarkServingPerCallScalar(b *testing.B) {
 	v := benchVictim(b, "bench-scalar")
 	rows := benchInputs(v, 64)
@@ -233,12 +233,13 @@ func BenchmarkServingPerCallScalar(b *testing.B) {
 	})
 }
 
-// BenchmarkServingCoalesced routes the same concurrent power-measuring
-// traffic through the service: in-flight queries coalesce into fused
-// ForwardPowerBatch reads, with per-batch rather than per-call dispatch
-// overhead.
-func BenchmarkServingCoalesced(b *testing.B) {
-	v := benchVictim(b, "bench-coal")
+// BenchmarkServingSession routes the same concurrent power-measuring
+// traffic through service sessions: each query is a one-row fused read
+// on the client's goroutine, behind the victim's read guard, so its
+// cost over BenchmarkServingPerCallScalar is the session, the guard
+// and the serving counters.
+func BenchmarkServingSession(b *testing.B) {
+	v := benchVictim(b, "bench-session")
 	s := New(Config{Seed: 77})
 	if err := s.Register(v); err != nil {
 		b.Fatal(err)
@@ -249,7 +250,7 @@ func BenchmarkServingCoalesced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		sess, err := s.OpenSession("bench-coal", SessionConfig{
+		sess, err := s.OpenSession("bench-session", SessionConfig{
 			Mode: oracle.RawOutput, MeasurePower: true, Budget: -1,
 		})
 		if err != nil {

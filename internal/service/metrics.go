@@ -52,8 +52,8 @@ var metricsTable = []metricSeries{
 
 	// Serving.
 	{name: "xbarsec_sessions", typ: "gauge", help: "Open attacker sessions.", stat: "Sessions"},
-	{name: "xbarsec_batched_queries_total", typ: "counter", help: "Oracle queries served through coalescers.", stat: "BatchedQueries"},
-	{name: "xbarsec_batch_flushes_total", typ: "counter", help: "Coalescer batch flushes.", stat: "BatchFlushes"},
+	{name: "xbarsec_batched_queries_total", typ: "counter", help: "Query rows read from victim arrays.", stat: "BatchedQueries"},
+	{name: "xbarsec_batch_flushes_total", typ: "counter", help: "Victim array reads, one per submission.", stat: "BatchFlushes"},
 	{name: "xbarsec_campaigns_total", typ: "counter", help: "Campaign jobs served.", stat: "Campaigns"},
 	{name: "xbarsec_failed_jobs_total", typ: "counter", help: "Experiment jobs that failed.", stat: "FailedJobs"},
 
@@ -63,12 +63,12 @@ var metricsTable = []metricSeries{
 	{name: "xbarsec_cluster_peer_fetch_verified_total", typ: "counter", help: "Peer artifacts accepted after provenance verification.", stat: "PeerFetchVerified"},
 	{name: "xbarsec_cluster_peer_fetch_rejected_total", typ: "counter", help: "Peer artifacts rejected by provenance verification.", stat: "PeerFetchRejected"},
 
-	// Sessions, jobs and coalescer high-water marks.
+	// Sessions, jobs and array-read high-water marks.
 	{name: "xbarsec_reaped_sessions_total", typ: "counter", help: "Sessions evicted by the idle-TTL janitor.", stat: "ReapedSessions"},
 	{name: "xbarsec_experiment_jobs", typ: "gauge", help: "Experiment jobs tracked (running or finished).", stat: "ExperimentJobs"},
 	{name: "xbarsec_replayed_jobs", typ: "gauge", help: "Jobs restored from the job journal at startup.", stat: "ReplayedJobs"},
-	{name: "xbarsec_max_batch", typ: "gauge", help: "Largest single coalescer flush.", stat: "MaxBatch"},
-	{name: "xbarsec_queue_depth_peak", typ: "gauge", help: "Deepest any coalescer queue has been at submit time.", stat: "QueueDepthPeak"},
+	{name: "xbarsec_max_batch", typ: "gauge", help: "Largest single array read, in rows.", stat: "MaxBatch"},
+	{name: "xbarsec_queue_depth_peak", typ: "gauge", help: "Most reads in flight on one victim at once.", stat: "QueueDepthPeak"},
 }
 
 // handleMetrics serves GET /v2/metrics: the service counters in the

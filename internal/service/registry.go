@@ -20,12 +20,16 @@ var ErrVictimExists = errors.New("service: victim already registered")
 // ErrVictimUnknown indicates a lookup for an unregistered victim.
 var ErrVictimUnknown = errors.New("service: unknown victim")
 
+// ErrVictimClosed indicates a query against a victim whose service has
+// been closed.
+var ErrVictimClosed = errors.New("service: victim closed")
+
 // Victim is one programmed network hosted by the service: the shared
 // oracle hardware many attacker sessions and campaign jobs hit at once.
-// The crossbar itself is read-only for noise-free devices; all query
-// traffic is funneled through the victim's coalescing batcher so noisy
-// (stateful) arrays are serialized and noise-free ones are served in
-// fused batches.
+// Every query reads the array on the goroutine that asks, through the
+// victim's read guard: a noise-free array is read-only and serves its
+// readers in parallel, while a noisy (stateful) array serves one
+// submission at a time.
 type Victim struct {
 	name  string
 	net   *nn.Network
@@ -33,13 +37,94 @@ type Victim struct {
 	train *dataset.Dataset
 	test  *dataset.Dataset
 
-	batcher    *batcher
+	reads      *readGuard // set by Register
 	sessionSeq atomic.Int64
 	open       atomic.Int64 // currently open sessions
 
 	cleanOnce sync.Once
 	cleanAcc  float64
 	cleanErr  error
+}
+
+// readGuard orders one victim's array reads against Close and, on a
+// noisy array, against each other. Batched reads of a noise-free array
+// are safe for concurrent use, so they only share mu. A noisy array's
+// reads consume its noise stream, so each submission also holds serial
+// for its whole run of rows: concurrent submissions never interleave.
+type readGuard struct {
+	mu     sync.RWMutex // held shared by every read, exclusively by close
+	closed bool
+	noisy  bool
+	serial sync.Mutex
+
+	inFlight atomic.Int64
+
+	// Serving statistics, exported via Service.Stats.
+	requests       atomic.Int64 // rows read
+	batches        atomic.Int64 // array reads, one per submission
+	maxBatch       atomic.Int64 // the largest read
+	queueDepthPeak atomic.Int64 // most reads in flight at once, waiting or reading
+}
+
+// begin admits one submission of n rows. It fails with ErrVictimClosed
+// once close has run; otherwise the caller reads the array and then
+// calls end.
+//
+//xbar:hotpath
+func (g *readGuard) begin(n int) error {
+	g.mu.RLock()
+	if g.closed {
+		g.mu.RUnlock()
+		return ErrVictimClosed
+	}
+	raiseMax(&g.queueDepthPeak, g.inFlight.Add(1))
+	if g.noisy {
+		g.serial.Lock()
+	}
+	g.batches.Add(1)
+	g.requests.Add(int64(n))
+	raiseMax(&g.maxBatch, int64(n))
+	return nil
+}
+
+// end releases what begin took.
+func (g *readGuard) end() {
+	if g.noisy {
+		g.serial.Unlock()
+	}
+	g.inFlight.Add(-1)
+	g.mu.RUnlock()
+}
+
+// close waits for the reads in flight and fails every later one with
+// ErrVictimClosed. Idempotent.
+func (g *readGuard) close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+}
+
+// raiseMax raises m to v if v exceeds it.
+func raiseMax(m *atomic.Int64, v int64) {
+	for {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// beginRead checks a submission's input lengths before any read, so a
+// malformed query never reaches the array or its counters, then admits
+// it through the read guard. A nil error must be paired with
+// v.reads.end().
+func (v *Victim) beginRead(us [][]float64) error {
+	for _, u := range us {
+		if len(u) != v.hw.Inputs() {
+			return fmt.Errorf("service: query input length %d, want %d", len(u), v.hw.Inputs())
+		}
+	}
+	return v.reads.begin(len(us))
 }
 
 // NewVictim bundles a trained network, its crossbar realization and the
@@ -85,9 +170,9 @@ func (v *Victim) Train() *dataset.Dataset { return v.train }
 // Test returns the victim's test split (nil for session-only victims).
 func (v *Victim) Test() *dataset.Dataset { return v.test }
 
-// clean returns the victim's clean test accuracy, computed once. It goes
-// through the batcher so noisy arrays stay serialized against session
-// traffic.
+// clean returns the victim's clean test accuracy, computed once. A noisy
+// array is read through the read guard, so it stays serialized against
+// session traffic.
 func (v *Victim) clean() (float64, error) {
 	v.cleanOnce.Do(func() {
 		if v.test == nil || v.test.Len() == 0 {

@@ -1,20 +1,20 @@
 // Package service is the concurrent attack-campaign layer on top of the
 // simulation stack: a sharded registry of programmed victim networks,
 // per-attacker sessions with split randomness and atomically enforced
-// query budgets, a per-victim coalescer that merges in-flight queries
-// from all sessions into batched (and, for power queries, fused) array
-// reads, and deterministic campaign/extraction jobs with a singleflight
-// artifact cache. It is the first layer of this repository built to be
+// query budgets, batched (and, for power queries, fused) array reads on
+// each caller's goroutine behind a per-victim read guard, and
+// deterministic campaign/extraction jobs with a singleflight artifact
+// cache. It is the first layer of this repository built to be
 // hit by many clients at once; cmd/xbarserve exposes it over HTTP.
 //
 // Determinism contract: campaign and extraction jobs are pure functions
 // of their spec (seeded via rng.Split, fanned out on the deterministic
 // pool), so replays are bit-identical at any worker count and specs
 // double as cache keys. Interactive session traffic against noise-free
-// victims is bit-identical to uncoalesced per-call reads regardless of how
-// queries coalesce; only noisy (stateful) arrays make interleaved
-// results depend on arrival order — exactly as the physical hardware
-// would.
+// victims is bit-identical to one read per query however it
+// interleaves; only noisy (stateful) arrays make results depend on
+// arrival order — exactly as the physical hardware would — and a noisy
+// array serves each submission as one contiguous run of reads.
 package service
 
 import (
@@ -224,28 +224,26 @@ func (s *Service) ReapIdleSessions(now time.Time) int {
 	return reaped
 }
 
-// Register adds a victim and starts its coalescer.
+// Register adds a victim and opens it for reads.
 func (s *Service) Register(v *Victim) error {
 	if s.isClosed() {
 		return ErrServiceClosed
 	}
-	if v.batcher != nil {
+	if v.reads != nil {
 		return fmt.Errorf("service: victim %q already attached to a service", v.name)
 	}
-	v.batcher = newBatcher(v.hw)
+	v.reads = &readGuard{noisy: v.Noisy()}
 	if !s.victims.put(v.name, v) {
-		v.batcher.close()
-		v.batcher = nil
+		v.reads = nil
 		return fmt.Errorf("service: victim %q: %w", v.name, ErrVictimExists)
 	}
 	// Close may have swept the registry between the entry check and the
 	// put; re-checking after the put closes the race — either Close's
-	// sweep saw this victim (and stopped its flusher; close is
-	// idempotent) or we observe closed here and undo the registration.
+	// sweep saw this victim (and closed its guard; close is idempotent)
+	// or we observe closed here and undo the registration.
 	if s.isClosed() {
 		s.victims.remove(v.name)
-		v.batcher.close()
-		v.batcher = nil
+		v.reads = nil
 		return ErrServiceClosed
 	}
 	s.drainPendingSync(v.name)
@@ -256,12 +254,23 @@ func (s *Service) Register(v *Victim) error {
 // on this victim, in journal order, on one background goroutine. The
 // jobs re-run through the normal compute paths — re-journaled, cached,
 // written through to spill — so the crashed client's retry of the same
-// spec is served from the artifact store instead of recomputed.
+// spec is served from the artifact store instead of recomputed. A
+// record that fails the spec checks (journaled before a bound existed)
+// is not replayed: its failed mark retires it here, before Register
+// returns, so no later Open replays it either.
 func (s *Service) drainPendingSync(victim string) {
 	s.pendingMu.Lock()
-	recs := s.pendingSync[victim]
+	pending := s.pendingSync[victim]
 	delete(s.pendingSync, victim)
 	s.pendingMu.Unlock()
+	var recs []journalRecord
+	for _, rec := range pending {
+		if err := rec.check(); err != nil {
+			s.journalFinish(rec.ID, err)
+			continue
+		}
+		recs = append(recs, rec)
+	}
 	if len(recs) == 0 {
 		return
 	}
@@ -291,8 +300,8 @@ func (s *Service) Victim(name string) (*Victim, error) {
 	return v, nil
 }
 
-// Close shuts the service down: coalescers stop after draining, queued
-// queries fail with ErrVictimClosed, the session janitor stops, new
+// Close shuts the service down: it waits for the array reads in flight,
+// later reads fail with ErrVictimClosed, the session janitor stops, new
 // work is refused, and (in durable mode) the job journal is flushed and
 // closed. Jobs still in flight keep running; their completion marks are
 // simply not journaled anymore, which recovery treats as "unfinished" —
@@ -302,7 +311,7 @@ func (s *Service) Close() {
 		return
 	}
 	close(s.janitorCh)
-	s.victims.each(func(_ string, v *Victim) { v.batcher.close() })
+	s.victims.each(func(_ string, v *Victim) { v.reads.close() })
 	if s.journal != nil {
 		_ = s.journal.close()
 	}
@@ -358,14 +367,14 @@ func (s *Service) Stats() Stats {
 			Inputs:         v.Inputs(),
 			Outputs:        v.Outputs(),
 			Noisy:          v.Noisy(),
-			Requests:       v.batcher.requests.Load(),
-			Batches:        v.batcher.batches.Load(),
-			MaxBatch:       v.batcher.maxBatch.Load(),
-			QueueDepthPeak: v.batcher.queueDepthPeak.Load(),
+			Requests:       v.reads.requests.Load(),
+			Batches:        v.reads.batches.Load(),
+			MaxBatch:       v.reads.maxBatch.Load(),
+			QueueDepthPeak: v.reads.queueDepthPeak.Load(),
 			OpenSessions:   v.open.Load(),
 		}
 		st.Victims = append(st.Victims, vs)
-		// Service-wide batcher aggregates: totals for the throughput
+		// Service-wide read aggregates: totals for the throughput
 		// counters, maxima for the high-water marks.
 		st.BatchFlushes += vs.Batches
 		st.BatchedQueries += vs.Requests

@@ -80,10 +80,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-// TestCoalescedServingBitIdentical pins the whole coalesced session path
-// — forward, raw outputs, fused power — to a reference oracle reading
-// the same array directly, one uncoalesced read per call.
-func TestCoalescedServingBitIdentical(t *testing.T) {
+// TestSessionServingBitIdentical pins the whole session path — forward,
+// raw outputs, fused power — to a reference oracle reading the same
+// array directly, with no session, guard or counters in between.
+func TestSessionServingBitIdentical(t *testing.T) {
 	v := buildTestVictim(t, "m", 3)
 	s := newTestService(t, Config{Seed: 3}, v)
 	sess, err := s.OpenSession("m", SessionConfig{Mode: oracle.RawOutput, MeasurePower: true, Budget: -1})
@@ -105,7 +105,7 @@ func TestCoalescedServingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Label != want.Label || got.Power != want.Power {
-			t.Fatalf("query %d: coalesced (%d, %v) != direct (%d, %v)",
+			t.Fatalf("query %d: session (%d, %v) != direct (%d, %v)",
 				i, got.Label, got.Power, want.Label, want.Power)
 		}
 		for j := range want.Raw {
@@ -170,7 +170,7 @@ func TestSessionRejectsBadInputWithoutCharge(t *testing.T) {
 	if sess.Queries() != 0 {
 		t.Fatalf("malformed query charged budget: %d", sess.Queries())
 	}
-	// A malformed query must not have poisoned the batcher for others.
+	// A malformed query must not have poisoned the victim for others.
 	if _, err := sess.Query(v.test.X.Row(0)); err != nil {
 		t.Fatal(err)
 	}

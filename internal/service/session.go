@@ -20,50 +20,42 @@ var ErrSessionUnknown = errors.New("service: unknown session")
 // cap (Config.MaxSessionsPerVictim).
 var ErrSessionLimit = errors.New("service: victim session limit reached")
 
-// coalescedHW adapts a victim's batcher to the oracle.Hardware interface:
-// each batched read is one submission to the coalescer, whose flusher
-// serves it with whatever else queued meanwhile. A single query is a
-// batch of one, and a power-measuring query costs one fused array pass.
-type coalescedHW struct {
+// victimHW is the oracle.Hardware every session and job reads a victim
+// through. Each batched read is one array pass on the calling
+// goroutine, behind the victim's read guard, and is counted in the
+// victim's serving statistics. A single query is a batch of one, and a
+// power-measuring query costs one fused pass. On a noisy victim the
+// guard is also the required serializer: every read draws from the
+// noise stream, so results depend on concurrent traffic, as real shared
+// noisy hardware's do.
+type victimHW struct {
 	v *Victim
 }
 
-// ForwardBatch serves a whole query slice through the coalescer in one
-// submission: the flusher sees the slice contiguously, so a batched
-// client query costs a constant number of array passes instead of
-// len(us) round trips.
-func (c coalescedHW) ForwardBatch(us [][]float64) ([][]float64, error) {
-	rs, err := c.v.batcher.submitAll(us, false)
-	if err != nil {
+// ForwardBatch reads the whole query slice in one array pass.
+func (h victimHW) ForwardBatch(us [][]float64) ([][]float64, error) {
+	if err := h.v.beginRead(us); err != nil {
 		return nil, err
 	}
-	ys := make([][]float64, len(rs))
-	for i := range rs {
-		ys[i] = rs[i].y
-	}
-	return ys, nil
+	defer h.v.reads.end()
+	return h.v.hw.ForwardBatch(us)
 }
 
 // ForwardPowerBatch is the fused batched read: both observables for the
-// whole slice in one submission.
-func (c coalescedHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
-	rs, err := c.v.batcher.submitAll(us, true)
-	if err != nil {
+// whole slice in one array pass.
+func (h victimHW) ForwardPowerBatch(us [][]float64) ([][]float64, []float64, error) {
+	if err := h.v.beginRead(us); err != nil {
 		return nil, nil, err
 	}
-	ys := make([][]float64, len(rs))
-	ps := make([]float64, len(rs))
-	for i := range rs {
-		ys[i], ps[i] = rs[i].y, rs[i].power
-	}
-	return ys, ps, nil
+	defer h.v.reads.end()
+	return h.v.hw.ForwardPowerBatch(us)
 }
 
-func (c coalescedHW) Inputs() int                  { return c.v.hw.Inputs() }
-func (c coalescedHW) Outputs() int                 { return c.v.hw.Outputs() }
-func (c coalescedHW) Crossbar() *crossbar.Crossbar { return c.v.hw.Crossbar() }
+func (h victimHW) Inputs() int                  { return h.v.hw.Inputs() }
+func (h victimHW) Outputs() int                 { return h.v.hw.Outputs() }
+func (h victimHW) Crossbar() *crossbar.Crossbar { return h.v.hw.Crossbar() }
 
-var _ oracle.Hardware = coalescedHW{}
+var _ oracle.Hardware = victimHW{}
 
 // SessionConfig controls what one attacker session may observe and spend.
 type SessionConfig struct {
@@ -79,7 +71,7 @@ type SessionConfig struct {
 }
 
 // Session is one attacker's budgeted handle on a shared victim. All its
-// queries flow through the victim's coalescer, its budget is enforced
+// queries read the victim through its read guard, its budget is enforced
 // atomically by the oracle layer (exact under any concurrency), and its
 // instrument-noise randomness comes from a session-private stream
 // derived with rng.Split from the service root — so no session's draws
@@ -149,7 +141,7 @@ func (s *Service) OpenSession(victim string, cfg SessionConfig) (*Session, error
 	if cfg.PowerNoiseStd > 0 {
 		noiseSrc = src.Split("power-noise")
 	}
-	orc, err := oracle.New(coalescedHW{v: v}, oracle.Config{
+	orc, err := oracle.New(victimHW{v: v}, oracle.Config{
 		Mode:          cfg.Mode,
 		MeasurePower:  cfg.MeasurePower,
 		PowerNoiseStd: cfg.PowerNoiseStd,
@@ -196,7 +188,7 @@ func (sess *Session) Victim() string { return sess.victim.name }
 // Mode returns the session's disclosure mode.
 func (sess *Session) Mode() oracle.Mode { return sess.oracle.Mode() }
 
-// Query runs one attacker query through the victim's coalescer, charging
+// Query runs one attacker query as a one-row array read, charging
 // the session budget if and only if a response is delivered (the oracle
 // accounting contract). Every query marks the session live for the
 // idle-TTL janitor.
@@ -205,11 +197,12 @@ func (sess *Session) Query(u []float64) (oracle.Response, error) {
 	return sess.oracle.Query(u)
 }
 
-// QueryBatch runs a whole query slice as one coalesced submission,
-// with per-query budget accounting (prefix admission — see
+// QueryBatch runs a whole query slice as one array read, with
+// per-query budget accounting (prefix admission — see
 // oracle.QueryBatch). Responses are bit-identical to calling Query
 // sequentially with the same inputs, but the victim serves the batch
-// in a constant number of array passes.
+// in one array pass; on a noisy victim no other submission's rows
+// interleave with it.
 func (sess *Session) QueryBatch(us [][]float64) ([]oracle.Response, error) {
 	sess.lastUsed.Store(time.Now().UnixNano()) //xbar:allow session idle-TTL bookkeeping: wall time drives eviction only, never results
 	return sess.oracle.QueryBatch(us)

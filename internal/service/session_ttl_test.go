@@ -57,14 +57,14 @@ func TestIdleSessionIsReaped(t *testing.T) {
 	if got := svc.Stats().ReapedSessions; got != 1 {
 		t.Fatalf("stats report %d reaped sessions, want 1", got)
 	}
-	// The victim's flusher state is intact: a new session on the same
-	// victim still serves queries through the coalescer.
+	// The victim is intact: a new session on the same victim still
+	// serves queries.
 	sess2, err := svc.OpenSession("mnist", SessionConfig{Budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess2.Query(input); err != nil {
-		t.Fatalf("coalescer broken after reap: %v", err)
+		t.Fatalf("victim broken after reap: %v", err)
 	}
 	// Reaping an already-reaped or closed session is idempotent.
 	if n := svc.ReapIdleSessions(time.Now().Add(-time.Minute)); n != 0 {
