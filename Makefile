@@ -1,8 +1,8 @@
 GO ?= go
-BENCH_JSON ?= BENCH_18.json
+BENCH_JSON ?= BENCH_19.json
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json chaos cluster fuzz cover examples test-fast ci
+.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json bench-compare chaos cluster fuzz cover examples test-fast ci
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,14 @@ bench-json:
 	$(GO) test -run XXX -bench 'Serving' -count 3 -benchmem ./internal/service/ > /tmp/xbarsec-bench-serving.txt
 	cat /tmp/xbarsec-bench-micro.txt /tmp/xbarsec-bench-macro.txt /tmp/xbarsec-bench-store.txt /tmp/xbarsec-bench-sweep.txt /tmp/xbarsec-bench-serving.txt | $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 	@cat $(BENCH_JSON)
+
+# Compares two BENCH_*.json files: per shared benchmark the two median
+# ms/op and their ratio, plus a Welch t-test over the repeats where both
+# entries keep them (significant below p = 0.05; entries recorded before
+# the samples field read "unresolved"). For example:
+#   make bench-compare OLD=BENCH_18.json NEW=BENCH_19.json
+bench-compare:
+	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
 
 # Fault-injection chaos suite under the race detector: the WAL and
 # fault-injection packages in full, the spill store, the service

@@ -492,6 +492,29 @@ func BenchmarkSurrogateTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkSurrogateTrainCampaign measures surrogate training at the
+// shape of one service campaign with the power term on: 200 queries of
+// 784 inputs, the default 40 epochs, λ = 0.004.
+func BenchmarkSurrogateTrainCampaign(b *testing.B) {
+	_, hw, ds := benchVictim(b)
+	orc, err := oracle.New(hw, oracle.Config{Mode: oracle.RawOutput, MeasurePower: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, err := oracle.Collect(orc, ds, 200, rng.New(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := surrogate.DefaultConfig()
+	cfg.Lambda = 0.004
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := surrogate.Train(qs, cfg, rng.New(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGemmTB measures the batched forward kernel at the training
 // shape (32-sample mini-batch x 3072 inputs by 10 outputs).
 func BenchmarkGemmTB(b *testing.B) {

@@ -91,6 +91,12 @@ func (c CampaignSpec) check() error {
 	if c.SurrogateEpochs < 0 || c.SurrogateEpochs > maxSurrogateEpochs {
 		return badRequestf("service: campaign surrogate epochs %d outside [0, %d]", c.SurrogateEpochs, maxSurrogateEpochs)
 	}
+	if c.Lambda < 0 {
+		return badRequestf("service: campaign lambda %v must be non-negative", c.Lambda)
+	}
+	if c.AttackEps < 0 {
+		return badRequestf("service: campaign attack eps %v must be non-negative", c.AttackEps)
+	}
 	switch c.Mode {
 	case oracle.LabelOnly, oracle.RawOutput:
 		return nil

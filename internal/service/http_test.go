@@ -173,6 +173,8 @@ func TestHTTPCampaignExtractBadRequest(t *testing.T) {
 		{"negative noise", "/extract", `{"victim":"mnist-toy","noise_std":-1}`},
 		{"unbounded surrogate epochs", "/campaigns", `{"victim":"mnist-toy","mode":"label-only","queries":10,"surrogate_epochs":1073741824}`},
 		{"unbounded repeats", "/extract", `{"victim":"mnist-toy","repeats":1073741824}`},
+		{"negative lambda", "/campaigns", `{"victim":"mnist-toy","mode":"label-only","queries":10,"lambda":-1}`},
+		{"negative attack eps", "/campaigns", `{"victim":"mnist-toy","mode":"label-only","queries":10,"attack_eps":-0.5}`},
 	}
 	// An accepted unbounded job would compute for ever; the timeout
 	// turns that into a failure instead of a hang.

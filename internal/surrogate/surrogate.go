@@ -124,12 +124,12 @@ type trainViews struct {
 // trainWorkspace owns the reusable surrogate-training buffers. As in nn,
 // an epoch sees at most two mini-batch sizes, so both view sets alias one
 // allocation and the steady-state step allocates nothing. The power-term
-// buffers (current column 1-norms, per-sample coeff·u products, and the
+// buffers (current column 1-norms, per-sample power coefficients, and the
 // sign matrix of W) are only present when the power loss is active.
 type trainWorkspace struct {
 	full, rem trainViews
 	colNorms  []float64      // ‖W_:,j‖₁, refreshed per mini-batch
-	cu        []float64      // coeff · u for the current sample
+	coeffs    []float64      // 2λ(p̂(u_b) - p_b) per mini-batch sample
 	sgn       *tensor.Matrix // sign(w_ij), refreshed per mini-batch
 }
 
@@ -156,7 +156,7 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 	}
 	if usePower {
 		ws.colNorms = make([]float64, n)
-		ws.cu = make([]float64, n)
+		ws.coeffs = make([]float64, batch)
 		ws.sgn = tensor.New(m, n)
 	}
 	return ws
@@ -175,17 +175,14 @@ func (w *trainWorkspace) views(rows int) *trainViews {
 // step computes the summed mini-batch gradient of Eq. (9) into grad
 // (overwritten). The forward pass runs as one matrix-matrix product for
 // the whole mini-batch. Without the power term the gradient is a single
-// batch contraction (GemmTA). With it, each sample contributes two
-// updates to every gradient element — the output-MSE term, then the
-// power term — and the original loop applied them per sample in exactly
-// that order, so the power path keeps a per-sample accumulation (the
-// batched forward still applies); it is restructured branch-free: the
-// sign tests on w_ij move into a per-mini-batch sign matrix and the
-// per-element coeff·u_j product is hoisted to one vector per sample.
-// Multiplying by a ±1 sign and adding (rather than branching on +=/-=)
-// and adding a ±0 term where the old loop skipped are both bit-neutral,
-// so results stay bit-identical to the per-sample reference loop (pinned
-// by TestTrainMatchesPerSampleReference in this package).
+// batch contraction (GemmTA). With it, each sample adds two terms to
+// every gradient element, its output-MSE term d_bi·u_bj and then its
+// power term s_ij·(c_b·u_bj), and powerGrad adds them in that order,
+// sample after sample, on one accumulator chain per element, so the
+// result is bit-identical to the per-sample reference loop (pinned by
+// TestTrainMatchesPerSampleReference in this package).
+//
+//xbar:hotpath
 func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, idxs []int, v *trainViews, grad *tensor.Matrix, usePower bool) {
 	m := net.Outputs()
 	for bi, idx := range idxs {
@@ -205,7 +202,6 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 		tensor.GemmTA(grad, v.d, v.u)
 		return
 	}
-	grad.Fill(0)
 	net.W.ColAbsSumsInto(w.colNorms)
 	sgnData, wData := w.sgn.Data(), net.W.Data()
 	for k, wk := range wData {
@@ -218,30 +214,57 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 			sgnData[k] = 0
 		}
 	}
+	// Power term: e = p̂(u) - p, p̂(u) = Σ_j u_j ‖W_:,j‖₁;
+	// ∂p̂/∂w_ij = u_j·sign(w_ij). Neither W nor the column norms change
+	// within the step, so every sample's coefficient 2λe is known before
+	// grad is touched.
+	coeffs := w.coeffs[:len(idxs)]
 	for bi, idx := range idxs {
-		u := v.u.Row(bi)
-		d := v.d.Row(bi)
-		for i, di := range d {
-			if di == 0 {
-				continue
-			}
-			row := grad.Row(i)
-			for j, uj := range u {
-				row[j] += di * uj
+		coeffs[bi] = cfg.Lambda * 2 * (tensor.Dot(v.u.Row(bi), w.colNorms) - qs.P[idx])
+	}
+	powerGrad(grad, v.d, v.u, w.sgn, coeffs)
+}
+
+// powerGrad computes grad = Σ_b (d_b ⊗ u_b + sgn ∘ (c_b·u_b)),
+// overwriting grad. Each element (i, j) adds, for each sample b in
+// increasing order, d_bi·u_bj and then sgn_ij·(c_b·u_bj), on one chain.
+// One pass over a gradient row adds four samples, as the GemmTA kernel
+// groups them, so the row is loaded and stored once per four samples
+// instead of twice per sample; the row and its signs stay in L1 while
+// the samples stream past. A zero d_bi is not skipped: every input is
+// finite, so its term is ±0, and adding ±0 to a chain that began at +0
+// is bitwise neutral (see tensor/gemm.go).
+//
+//xbar:hotpath
+func powerGrad(grad, d, u, sgn *tensor.Matrix, coeffs []float64) {
+	grad.Fill(0)
+	for i := 0; i < grad.Rows(); i++ {
+		g, s := grad.Row(i), sgn.Row(i)
+		s = s[:len(g)]
+		b := 0
+		for ; b+4 <= len(coeffs); b += 4 {
+			c0, c1, c2, c3 := coeffs[b], coeffs[b+1], coeffs[b+2], coeffs[b+3]
+			x0, x1, x2, x3 := d.At(b, i), d.At(b+1, i), d.At(b+2, i), d.At(b+3, i)
+			u0, u1, u2, u3 := u.Row(b), u.Row(b+1), u.Row(b+2), u.Row(b+3)
+			u0, u1, u2, u3 = u0[:len(g)], u1[:len(g)], u2[:len(g)], u3[:len(g)]
+			for j, t := range g {
+				sj := s[j]
+				t += x0 * u0[j]
+				t += sj * (c0 * u0[j])
+				t += x1 * u1[j]
+				t += sj * (c1 * u1[j])
+				t += x2 * u2[j]
+				t += sj * (c2 * u2[j])
+				t += x3 * u3[j]
+				g[j] = t + sj*(c3*u3[j])
 			}
 		}
-		// Power term: e = p̂(u) - p, p̂(u) = Σ_j u_j ‖W_:,j‖₁;
-		// ∂p̂/∂w_ij = u_j·sign(w_ij).
-		e := tensor.Dot(u, w.colNorms) - qs.P[idx]
-		coeff := cfg.Lambda * 2 * e
-		for j, uj := range u {
-			w.cu[j] = coeff * uj
-		}
-		for i := 0; i < m; i++ {
-			srow := w.sgn.Row(i)
-			grow := grad.Row(i)
-			for j, cj := range w.cu {
-				grow[j] += srow[j] * cj
+		for ; b < len(coeffs); b++ {
+			c, x, ub := coeffs[b], d.At(b, i), u.Row(b)
+			ub = ub[:len(g)]
+			for j, t := range g {
+				t += x * ub[j]
+				g[j] = t + s[j]*(c*ub[j])
 			}
 		}
 	}
