@@ -1,8 +1,8 @@
 GO ?= go
-BENCH_JSON ?= BENCH_19.json
+BENCH_JSON ?= BENCH_20.json
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json bench-compare chaos cluster fuzz cover examples test-fast ci
+.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json bench-compare bench-harness chaos cluster fuzz cover examples test-fast ci
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,16 @@ bench-json:
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
 
+# Vets and self-tests the end-to-end benchmark harness. xbarbench/ is a
+# module of its own (it replaces xbarsec with this checkout), so the
+# root `go build ./...` never compiles it, yet it implements
+# sidechannel.PowerMeter and calls the service API: this target makes
+# an API change that breaks the harness fail here, not in a benchmark
+# run. Offline, a few seconds.
+bench-harness:
+	$(GO) -C xbarbench vet ./...
+	$(GO) -C xbarbench test ./...
+
 # Fault-injection chaos suite under the race detector: the WAL and
 # fault-injection packages in full, the spill store, the service
 # durability tests (kill-and-restart bit-identity, torn journal tail,
@@ -173,4 +183,4 @@ cover:
 	$(GO) test -coverprofile=$(COVER_PROFILE) -covermode=atomic ./...
 	$(GO) tool cover -func=$(COVER_PROFILE) | tail -n 1
 
-ci: build vet lint fmt-check test
+ci: build vet lint fmt-check test bench-harness

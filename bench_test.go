@@ -456,6 +456,37 @@ func BenchmarkNormExtraction(b *testing.B) {
 	}
 }
 
+// fusedMeter reads power the way the service's extraction jobs do: one
+// fused ForwardPowerBatch of a one-row batch per reading.
+type fusedMeter struct{ hw *crossbar.Network }
+
+func (m fusedMeter) Power(u []float64) (float64, error) {
+	_, ps, err := m.hw.ForwardPowerBatch([][]float64{u})
+	if err != nil {
+		return 0, err
+	}
+	return ps[0], nil
+}
+
+func (m fusedMeter) Inputs() int { return m.hw.Inputs() }
+
+// BenchmarkNormExtractionFused measures the same extraction through the
+// serving read path: 784 one-row fused reads instead of the scalar
+// TotalCurrent reads of BenchmarkNormExtraction.
+func BenchmarkNormExtractionFused(b *testing.B) {
+	_, hw, _ := benchVictim(b)
+	probe, err := sidechannel.NewProbe(fusedMeter{hw}, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := probe.ExtractColumnSignals(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFGSM measures one FGSM example generation on a 784-dim input.
 func BenchmarkFGSM(b *testing.B) {
 	net, _, ds := benchVictim(b)

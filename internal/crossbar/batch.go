@@ -58,6 +58,49 @@ func (x *Crossbar) effective() {
 	})
 }
 
+// columnWalk is the basis-query fast path of the noise-free reads: the
+// side-channel probe drives one input at a time (Section III's
+// measurement procedure), and with at most one nonzero u_j the general
+// sweep degenerates to a walk down column j. The walk adds the sweep's
+// terms in the sweep's order: each output row's term to a fresh +0
+// accumulator (so a −0 product reads +0, as there), the total's terms in
+// row order, then the masking row's. Results are therefore bit-identical,
+// without scanning all M·N devices against the zero-skip branch. out
+// receives the output currents when non-nil (length Rows()). ok is false,
+// with nothing written, when u has a second nonzero: the scan stops
+// there, so a dense input pays only up to its second nonzero. The
+// effective-conductance cache must be built.
+//
+//xbar:hotpath
+func (x *Crossbar) columnWalk(u, out []float64) (total float64, ok bool) {
+	nz := -1
+	for j, uj := range u {
+		if uj != 0 {
+			if nz >= 0 {
+				return 0, false
+			}
+			nz = j
+		}
+	}
+	if nz < 0 {
+		clear(out)
+		return 0, true
+	}
+	uj, vdd := u[nz], x.cfg.Vdd
+	for i := range out {
+		var s float64
+		s += x.effDiff.Row(i)[nz] * uj * vdd
+		out[i] = s
+	}
+	for i := 0; i < x.rows; i++ {
+		total += x.effSum.Row(i)[nz] * uj * vdd
+	}
+	if x.effMask != nil {
+		total += x.effMask[nz] * uj * vdd
+	}
+	return total, true
+}
+
 // OutputCurrentsBatch returns one differential output-current vector per
 // input, Eq. (3) applied across the batch.
 func (x *Crossbar) OutputCurrentsBatch(us [][]float64) ([][]float64, error) {
@@ -137,11 +180,13 @@ func (n *Network) Noisy() bool { return n.xbar.Noisy() }
 // noise-free array the two matrices are walked in one fused pass per
 // input with a single backing allocation for the whole batch, which is
 // what makes fused power-measuring serving cheaper than per-call
-// Forward-then-Power reads. Each accumulator keeps the exact operation
-// order of its scalar counterpart, so results are bit-identical to
-// calling OutputCurrents then TotalCurrent once per input; for a noisy
-// array that sequential pair IS the implementation (two reads per input,
-// in that order), preserving the noise-stream consumption order of the
+// Forward-then-Power reads. An input with at most one nonzero (a basis
+// query) skips the sweep for the column walk TotalCurrent also takes
+// (columnWalk). Each accumulator keeps the exact operation order of its
+// scalar counterpart, so results are bit-identical to calling
+// OutputCurrents then TotalCurrent once per input; for a noisy array
+// that sequential pair IS the implementation (two reads per input, in
+// that order), preserving the noise-stream consumption order of the
 // scalar query path.
 //
 //xbar:hotpath
@@ -166,35 +211,49 @@ func (x *Crossbar) OutputTotalCurrentBatch(us [][]float64) ([][]float64, []float
 		return outs, totals, nil
 	}
 	x.effective()
-	vdd := x.cfg.Vdd
 	slab := make([]float64, len(us)*x.rows)
 	for b, u := range us {
 		out := slab[b*x.rows : (b+1)*x.rows : (b+1)*x.rows]
-		var total float64
-		for i := 0; i < x.rows; i++ {
-			dRow := x.effDiff.Row(i)
-			sRow := x.effSum.Row(i)
-			var s float64
-			for j, uj := range u {
-				if uj == 0 {
-					continue
-				}
-				s += dRow[j] * uj * vdd
-				total += sRow[j] * uj * vdd
-			}
-			out[i] = s
-		}
-		if x.effMask != nil {
-			for j, uj := range u {
-				if uj == 0 {
-					continue
-				}
-				total += x.effMask[j] * uj * vdd
-			}
+		total, ok := x.columnWalk(u, out)
+		if !ok {
+			total = x.sweep(u, out)
 		}
 		outs[b], totals[b] = out, total
 	}
 	return outs, totals, nil
+}
+
+// sweep is the fused kernel's general pass for one noise-free input:
+// both matrices walked once, the output currents written to out and the
+// supply current returned, each accumulator in the operation order of
+// its scalar counterpart (OutputCurrents, TotalCurrent).
+//
+//xbar:hotpath
+func (x *Crossbar) sweep(u, out []float64) float64 {
+	vdd := x.cfg.Vdd
+	var total float64
+	for i := 0; i < x.rows; i++ {
+		dRow := x.effDiff.Row(i)
+		sRow := x.effSum.Row(i)
+		var s float64
+		for j, uj := range u {
+			if uj == 0 {
+				continue
+			}
+			s += dRow[j] * uj * vdd
+			total += sRow[j] * uj * vdd
+		}
+		out[i] = s
+	}
+	if x.effMask != nil {
+		for j, uj := range u {
+			if uj == 0 {
+				continue
+			}
+			total += x.effMask[j] * uj * vdd
+		}
+	}
+	return total
 }
 
 // ForwardPowerBatch returns ŷ = f(s) and the read power per input in one

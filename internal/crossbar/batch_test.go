@@ -10,7 +10,11 @@ import (
 
 // batchTestWeights returns a small weight matrix with mixed signs, zeros
 // and magnitude spread, plus a batch of inputs that includes exact zeros
-// (exercising the sparse-input skip) and an all-zero vector.
+// (exercising the sparse-input skip), an all-zero vector and three
+// one-hot vectors (the basis queries the column walk serves): the
+// nonzero at the first, a middle and the last column, valued 1, 0.37 and
+// −0.5. The negative one turns every zero effective conductance into a
+// −0 term, which the general sweep's +0 accumulator reads as +0.
 func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64) {
 	t.Helper()
 	src := rng.New(11)
@@ -37,6 +41,14 @@ func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64
 		us[b] = u
 	}
 	us[batch-1] = make([]float64, cols) // all-zero input
+	for _, hot := range []struct {
+		j int
+		v float64
+	}{{0, 1}, {cols / 2, 0.37}, {cols - 1, -0.5}} {
+		u := make([]float64, cols)
+		u[hot.j] = hot.v
+		us = append(us, u)
+	}
 	return w, us
 }
 

@@ -384,31 +384,8 @@ func (x *Crossbar) TotalCurrent(u []float64) (float64, error) {
 		// Cached effective conductances, same operation order as below —
 		// bit-identical, without the per-call IR-drop pass.
 		x.effective()
-		// Basis-query fast path: the side-channel probe drives one input
-		// at a time (Section III's measurement procedure), and with a
-		// single nonzero u_j the general sweep degenerates to one column
-		// walk — same terms, same row order, so bit-identical — without
-		// scanning all M·N devices against the zero-skip branch.
-		nz, nzCount := 0, 0
-		for j, uj := range u {
-			if uj != 0 {
-				nz = j
-				if nzCount++; nzCount > 1 {
-					break
-				}
-			}
-		}
-		if nzCount <= 1 {
-			if nzCount == 1 {
-				uj := u[nz]
-				for i := 0; i < x.rows; i++ {
-					total += x.effSum.Row(i)[nz] * uj * x.cfg.Vdd
-				}
-				if x.effMask != nil {
-					total += x.effMask[nz] * uj * x.cfg.Vdd
-				}
-			}
-			return total, nil
+		if walked, ok := x.columnWalk(u, nil); ok {
+			return walked, nil
 		}
 		for i := 0; i < x.rows; i++ {
 			sRow := x.effSum.Row(i)

@@ -1,18 +1,57 @@
 package crossbar
 
 import (
+	"math"
 	"testing"
 
 	"xbarsec/internal/nn"
 	"xbarsec/internal/rng"
 )
 
+// sweepTotal is the general sweep's supply current over a noise-free
+// array's effective conductances, written out in its order: rows, then
+// columns with zero inputs skipped, then the masking row. TotalCurrent
+// serves inputs with at most one nonzero by the column walk it shares
+// with the fused kernel, so this is the reference that pins the walk's
+// totals.
+func sweepTotal(x *Crossbar, u []float64) float64 {
+	x.effective()
+	var total float64
+	for i := 0; i < x.rows; i++ {
+		for j, uj := range u {
+			if uj != 0 {
+				total += x.effSum.At(i, j) * uj * x.cfg.Vdd
+			}
+		}
+	}
+	for j, uj := range u {
+		if uj != 0 && x.effMask != nil {
+			total += x.effMask[j] * uj * x.cfg.Vdd
+		}
+	}
+	return total
+}
+
 // checkFusedMatches pins the fused serving kernel to the sequential
 // Forward-then-Power reads, per input in that order, on fresh
 // identically-programmed twins (bit-identical, including the noise
-// stream consumption order of noisy arrays).
+// stream consumption order of noisy arrays and the sign of zeros).
+// OutputCurrents has no column walk, so the fused kernel's walked
+// outputs are checked against the general sweep; on a noise-free array
+// every total is also checked against sweepTotal.
 func checkFusedMatches(t *testing.T, program func() *Crossbar, us [][]float64) {
 	t.Helper()
+	if ref := program(); !ref.Noisy() {
+		for b, u := range us {
+			got, err := ref.TotalCurrent(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sweepTotal(ref, u); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("TotalCurrent[%d] = %v, general sweep %v", b, got, want)
+			}
+		}
+	}
 	seq, fused := program(), program()
 	wantOut := make([][]float64, len(us))
 	wantTot := make([]float64, len(us))
@@ -32,11 +71,11 @@ func checkFusedMatches(t *testing.T, program func() *Crossbar, us [][]float64) {
 		t.Fatal(err)
 	}
 	for b := range us {
-		if gotTot[b] != wantTot[b] {
+		if math.Float64bits(gotTot[b]) != math.Float64bits(wantTot[b]) {
 			t.Fatalf("fused total[%d] = %v, sequential %v", b, gotTot[b], wantTot[b])
 		}
 		for i := range wantOut[b] {
-			if gotOut[b][i] != wantOut[b][i] {
+			if math.Float64bits(gotOut[b][i]) != math.Float64bits(wantOut[b][i]) {
 				t.Fatalf("fused out[%d][%d] = %v, sequential %v", b, i, gotOut[b][i], wantOut[b][i])
 			}
 		}
@@ -102,11 +141,11 @@ func TestForwardPowerBatchMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for b := range us {
-					if gotP[b] != wantP[b] {
+					if math.Float64bits(gotP[b]) != math.Float64bits(wantP[b]) {
 						t.Fatalf("fused power[%d] = %v, sequential %v", b, gotP[b], wantP[b])
 					}
 					for i := range wantY[b] {
-						if gotY[b][i] != wantY[b][i] {
+						if math.Float64bits(gotY[b][i]) != math.Float64bits(wantY[b][i]) {
 							t.Fatalf("fused y[%d][%d] = %v, sequential %v", b, i, gotY[b][i], wantY[b][i])
 						}
 					}

@@ -272,6 +272,10 @@ type ExtractResult = api.ExtractResult
 // probeMeter adapts a victim's guarded reads to the
 // sidechannel.PowerMeter interface so extraction jobs read the array
 // the way sessions do: each probe reading is a fused read of one row.
+// A basis row drives one input, so on a noise-free array the fused
+// kernel walks that one column instead of sweeping every device. Power
+// neither keeps nor modifies u, as the interface requires: the probe
+// reuses one basis vector across an extraction's reads.
 type probeMeter struct{ h victimHW }
 
 func (m probeMeter) Power(u []float64) (float64, error) {

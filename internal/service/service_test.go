@@ -11,6 +11,7 @@ import (
 	"xbarsec/internal/nn"
 	"xbarsec/internal/oracle"
 	"xbarsec/internal/rng"
+	"xbarsec/internal/sidechannel"
 )
 
 // buildTestVictim trains a small 10x10-image victim on an ideal crossbar
@@ -316,6 +317,37 @@ func TestExtractCachedAndCalibrated(t *testing.T) {
 	}
 	if other.ProbeQueries != 3*v.Inputs() {
 		t.Fatalf("averaged probe spent %d queries, want %d", other.ProbeQueries, 3*v.Inputs())
+	}
+	// The served signals are the scalar path's, bit for bit: a probe over
+	// the bare array's TotalCurrent on the noise stream runExtract derives,
+	// against the fused one-row reads the service makes.
+	for _, c := range []struct {
+		spec ExtractSpec
+		got  []float64
+	}{
+		{ExtractSpec{Victim: "m", Repeats: 1}, res.Signals},
+		{ExtractSpec{Victim: "m", Repeats: 3, NoiseStd: 0.05, Seed: 2}, other.Signals},
+	} {
+		var src *rng.Source
+		if c.spec.NoiseStd > 0 {
+			src = rng.New(c.spec.Seed).Split("extract").Split(v.name)
+		}
+		probe, err := sidechannel.NewProbe(sidechannel.MeterFromCrossbar(v.hw.Crossbar()), c.spec.NoiseStd, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := probe.ExtractColumnSignals(c.spec.Repeats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.got) != len(want) {
+			t.Fatalf("served %d signals, scalar path %d", len(c.got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(c.got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("repeats %d noise %g: signal[%d] = %v, scalar path %v", c.spec.Repeats, c.spec.NoiseStd, j, c.got[j], want[j])
+			}
+		}
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // input — in practice a crossbar.Network (the oracle hardware), but tests
 // also use synthetic meters.
 type PowerMeter interface {
-	// Power returns the power consumed while processing u.
+	// Power returns the power consumed while processing u. It must not
+	// retain or modify u: callers reuse one input vector across reads
+	// (ExtractColumnSignals sets and resets one basis entry per read).
 	Power(u []float64) (float64, error)
 	// Inputs returns the input dimensionality.
 	Inputs() int
@@ -118,15 +120,20 @@ func (p *Probe) MeasureAveraged(u []float64, k int) (float64, error) {
 // power readings. For an ideal crossbar these are Vdd²·G_j — an affine
 // function of the column 1-norms ‖W_:,j‖₁, so their ranking equals the
 // 1-norm ranking the attacks need. Exactly N queries are used (times
-// repeats when repeats > 1).
+// repeats when repeats > 1). One basis vector serves every read: entry j
+// is set for read j and reset after it, so an extraction allocates the
+// same at any N.
 func (p *Probe) ExtractColumnSignals(repeats int) ([]float64, error) {
 	if repeats <= 0 {
 		repeats = 1
 	}
 	n := p.meter.Inputs()
 	out := make([]float64, n)
+	e := make([]float64, n)
 	for j := 0; j < n; j++ {
-		v, err := p.MeasureAveraged(tensor.Basis(n, j, 1), repeats)
+		e[j] = 1
+		v, err := p.MeasureAveraged(e, repeats)
+		e[j] = 0
 		if err != nil {
 			return nil, fmt.Errorf("sidechannel: basis query %d: %w", j, err)
 		}

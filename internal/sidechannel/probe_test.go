@@ -67,6 +67,52 @@ func TestExtractColumnSignalsExactRecovery(t *testing.T) {
 	}
 }
 
+// rampMeter reads Σ_j (j+1)·u_j without allocating, so a basis query
+// e_j reads j+1 exactly and any entry left set by an earlier read shows.
+type rampMeter struct{ n int }
+
+func (m rampMeter) Inputs() int { return m.n }
+func (m rampMeter) Power(u []float64) (float64, error) {
+	var p float64
+	for j, uj := range u {
+		p += float64(j+1) * uj
+	}
+	return p, nil
+}
+
+// TestExtractColumnSignalsAllocsFixed pins the extraction's allocations
+// to a count independent of the input width: the result and one basis
+// vector reused across every read, never a fresh vector per read.
+func TestExtractColumnSignalsAllocsFixed(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{16, 784} {
+		probe, err := NewProbe(rampMeter{n: n}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signals, err := probe.ExtractColumnSignals(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, s := range signals {
+			if s != float64(j+1) {
+				t.Fatalf("N=%d: signal[%d] = %v, want %d (basis entries must be reset)", n, j, s, j+1)
+			}
+		}
+		allocs[n] = testing.AllocsPerRun(10, func() {
+			if _, err := probe.ExtractColumnSignals(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[16] != allocs[784] {
+		t.Fatalf("allocations grow with N: %v at N=16, %v at N=784", allocs[16], allocs[784])
+	}
+	if allocs[784] > 2 {
+		t.Fatalf("extraction costs %v allocations, want at most 2 (result + basis vector)", allocs[784])
+	}
+}
+
 func TestExtractWithGOffOffsetPreservesRanking(t *testing.T) {
 	cfg := crossbar.DefaultDeviceConfig() // nonzero GOff
 	xb, w := buildCrossbar(t, 3, 6, 12, cfg)
