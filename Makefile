@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_JSON ?= BENCH_20.json
+BENCH_JSON ?= BENCH_21.json
 COVER_PROFILE ?= cover.out
 
 .PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json bench-compare bench-harness chaos cluster fuzz cover examples test-fast ci
@@ -96,7 +96,7 @@ bench:
 # intermediate files so a failing benchmark fails the target instead of
 # being swallowed by the conversion pipe.
 bench-json:
-	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$' -benchtime 200x -count 3 -benchmem . > /tmp/xbarsec-bench-micro.txt
+	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$|ReadF64Rows$$' -benchtime 200x -count 3 -benchmem . > /tmp/xbarsec-bench-micro.txt
 	$(GO) test -run XXX -bench 'SurrogateTrain|Table1$$|Table1Fast$$|ServeBatchQPS' -benchtime 3x -count 3 -benchmem . > /tmp/xbarsec-bench-macro.txt
 	$(GO) test -run XXX -bench 'VictimStoreColdFig3$$|VictimStoreWarmFig3$$|VictimStoreCrossRunnerCold$$|VictimStoreCrossRunnerWarm$$|RegistryReplayWarm$$|ServiceColdRestart$$' -benchtime 3x -count 3 -benchmem . > /tmp/xbarsec-bench-store.txt
 	$(GO) test -run XXX -bench 'GemmSweep' -benchtime 50x -count 3 -benchmem . > /tmp/xbarsec-bench-sweep.txt

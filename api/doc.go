@@ -40,12 +40,14 @@
 //
 //	[u32 LE rows][u32 LE cols][rows·cols float64, IEEE-754 LE, row-major]
 //
-// AppendF64Rows encodes it and ParseF64Rows validates it. A server
-// rejects a binary body with a bad_request envelope, before any budget
-// is reserved, unless it is read whole within the request size cap,
-// its length is exactly 8 + rows·cols·8 bytes, 1 ≤ rows ≤ the batch
-// limit (exactly 1 on /query), cols equals the victim's input width
-// (all checked before the rows are allocated), and every value is
+// AppendF64Rows encodes it. ReadF64Rows decodes it from a reader as it
+// arrives, checking the header first and holding at most twice the
+// bytes received plus a fixed buffer; ParseF64Rows decodes a body in
+// memory. A server rejects a binary body with a bad_request envelope,
+// before any budget is reserved, unless 1 ≤ rows ≤ the batch limit
+// (exactly 1 on /query) and cols equals the victim's input width (both
+// checked before any row is allocated), the body ends exactly after
+// rows·cols values within the request size cap, and every value is
 // finite.
 // JSON cannot carry NaN or ±Inf either, so both encodings accept the
 // same inputs, and the response — always JSON — is byte-identical for

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // f64Header builds a bare [rows][cols] header.
@@ -42,7 +43,7 @@ func TestF64RoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The rows share one slab, but a row can never grow into its
+	// The rows may share a chunk, but a row can never grow into its
 	// neighbour.
 	_ = append(got[0], 99)
 	if cap(got[0]) != 3 || got[1][0] != math.SmallestNonzeroFloat64 {
@@ -112,31 +113,50 @@ func TestParseF64RowsValidation(t *testing.T) {
 
 // TestParseF64RowsRejectsBeforeAllocating pins that a header claiming
 // more values than the body holds costs only its error message: the
-// slab is allocated after the length check, so no header can make the
-// parser reserve memory the sender did not send.
+// rows are allocated after the length check, so no header can make the
+// parser reserve memory the sender did not send. ReadF64Rows cannot see
+// the length up front, so it must allocate only with the bytes that
+// arrive: one row of 2^32 − 1 values, allocated ahead of its bytes,
+// would be 32 GiB.
 func TestParseF64RowsRejectsBeforeAllocating(t *testing.T) {
-	// 4096 rows of 784 values would be a 25 MiB slab.
-	body := append(f64Header(4096, 784), make([]byte, 64)...)
-	const calls = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range calls {
-		if _, err := ParseF64Rows(body, 784, 4096); err == nil {
-			t.Fatal("accepted a 4096×784 header on a 72-byte body")
+	perCall := func(parse func() error) uint64 {
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			if parse() == nil {
+				t.Fatal("accepted a header of 4096 rows on a 72-byte body")
+			}
 		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 1024 {
-		t.Fatalf("each rejection allocated %d bytes", per)
+	// 4096 rows of 784 values would be 25 MiB.
+	body := append(f64Header(4096, 784), make([]byte, 64)...)
+	if per := perCall(func() error {
+		_, err := ParseF64Rows(body, 784, 4096)
+		return err
+	}); per > 1024 {
+		t.Fatalf("each ParseF64Rows rejection allocated %d bytes", per)
+	}
+	body = append(f64Header(4096, math.MaxUint32), make([]byte, 64)...)
+	if per := perCall(func() error {
+		_, err := ReadF64Rows(bytes.NewReader(body), math.MaxUint32, 4096)
+		return err
+	}); per >= 64<<10 {
+		t.Fatalf("each ReadF64Rows rejection allocated %d bytes", per)
 	}
 }
 
 // FuzzParseF64Rows drives the binary query body parser, the server's
 // first contact with a binary request, with arbitrary bytes. It must
 // never panic; it must reject any header whose rows × cols disagrees
-// with the body length in f64Dims, before the slab is allocated; it
+// with the body length in f64Dims, before the rows are allocated; it
 // must accept only finite values; and every accepted body must
-// re-encode to the same bytes. The committed corpus lives in
+// re-encode to the same bytes. ReadF64Rows, reading the same bytes as
+// they arrive through a reader that returns half of each request, must
+// fail exactly where ParseF64Rows fails and otherwise return the same
+// rows bit for bit. The committed corpus lives in
 // testdata/fuzz/FuzzParseF64Rows.
 func FuzzParseF64Rows(f *testing.F) {
 	f.Add(append(f64Header(1, 1), make([]byte, 8)...))
@@ -152,11 +172,24 @@ func FuzzParseF64Rows(f *testing.F) {
 		const maxRows = math.MaxUint32
 		consistent := len(body) >= 8 && cols >= 1 && rows >= 1 &&
 			(len(body)-8)%8 == 0 && uint64(len(body)-8)/8 == rows*cols
-		_, dimsErr := f64Dims(body, wantCols, maxRows)
-		if !consistent && dimsErr == nil {
+		if !consistent && f64Dims(body, wantCols, maxRows) == nil {
 			t.Fatalf("header %d×%d passed the pre-allocation check on a %d-byte body", rows, cols, len(body))
 		}
 		got, err := ParseF64Rows(body, wantCols, maxRows)
+		streamed, streamErr := ReadF64Rows(iotest.HalfReader(bytes.NewReader(body)), wantCols, maxRows)
+		if (err == nil) != (streamErr == nil) {
+			t.Fatalf("ParseF64Rows err %v, ReadF64Rows err %v", err, streamErr)
+		}
+		if len(streamed) != len(got) {
+			t.Fatalf("ReadF64Rows read %d rows, ParseF64Rows %d", len(streamed), len(got))
+		}
+		for i, row := range got {
+			for j, v := range row {
+				if math.Float64bits(streamed[i][j]) != math.Float64bits(v) {
+					t.Fatalf("[%d][%d]: ReadF64Rows %v, ParseF64Rows %v", i, j, streamed[i][j], v)
+				}
+			}
+		}
 		if err != nil {
 			if consistent && allFiniteBits(body[8:]) {
 				t.Fatalf("rejected a well-formed %d×%d body: %v", rows, cols, err)

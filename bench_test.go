@@ -7,9 +7,11 @@ package xbarsec_test
 // `go run ./cmd/xbarattack -scale 1 all` for paper-sized sweeps.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"xbarsec/api"
 	"xbarsec/internal/attack"
 	"xbarsec/internal/crossbar"
 	"xbarsec/internal/dataset"
@@ -482,6 +484,63 @@ func BenchmarkNormExtractionFused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := probe.ExtractColumnSignals(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// denseVictim returns a 10×3072 noise-free array programmed from
+// Xavier-initialized weights and 64 CIFAR-like rows: the shape of the
+// service's heavy power-measuring batch.
+func denseVictim(b *testing.B) (*crossbar.Network, [][]float64) {
+	b.Helper()
+	src := rng.New(1)
+	ds, err := dataset.GenerateCIFARLike(src.Split("d"), 64, dataset.DefaultCIFARLikeConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := nn.NewNetwork(ds.NumClasses, ds.X.Cols(), nn.ActSoftmax, nn.LossCrossEntropy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.InitXavier(src.Split("w"))
+	hw, err := crossbar.NewNetwork(net, crossbar.DefaultDeviceConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	us := make([][]float64, ds.Len())
+	for i := range us {
+		us[i] = ds.X.Row(i)
+	}
+	return hw, us
+}
+
+// BenchmarkCrossbarPowerFusedDense measures the serving kernel on the
+// heavy session batch: 64 dense CIFAR-like rows through one fused
+// ForwardPowerBatch on a 10×3072 array.
+func BenchmarkCrossbarPowerFusedDense(b *testing.B) {
+	hw, us := denseVictim(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := hw.ForwardPowerBatch(us); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadF64Rows measures decoding the heavy session batch's
+// binary body, 64 CIFAR-like rows of 3072 values (1.5 MB), as the server
+// reads it.
+func BenchmarkReadF64Rows(b *testing.B) {
+	_, us := denseVictim(b)
+	body, err := api.AppendF64Rows(nil, us)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := api.ReadF64Rows(bytes.NewReader(body), len(us[0]), len(us)); err != nil {
 			b.Fatal(err)
 		}
 	}

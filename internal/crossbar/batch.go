@@ -10,10 +10,9 @@ import (
 // of input vectors at once. For noise-free arrays the IR-drop-adjusted
 // effective conductances are materialized once per array and cached (the
 // scalar entry points read the same cache) and inputs are validated up
-// front. Every batched method processes inputs strictly in order through the
-// scalar kernels, so results — including the consumption order of a
-// noisy array's per-read noise stream — are bit-identical to calling the
-// scalar counterpart once per input.
+// front. Every batched method's results — including the consumption
+// order of a noisy array's per-read noise stream — are bit-identical to
+// calling the scalar counterpart once per input, in batch order.
 //
 // Batched calls on a noise-free array are safe for concurrent use; read
 // noise makes an array stateful, as with the scalar methods.
@@ -177,17 +176,18 @@ func (n *Network) Noisy() bool { return n.xbar.Noisy() }
 // OutputTotalCurrentBatch returns, per input, both the differential
 // output currents (Eq. 3) and the total supply current (Eq. 5) — the two
 // observables a power-measuring attacker gets from one inference. For a
-// noise-free array the two matrices are walked in one fused pass per
-// input with a single backing allocation for the whole batch, which is
-// what makes fused power-measuring serving cheaper than per-call
-// Forward-then-Power reads. An input with at most one nonzero (a basis
-// query) skips the sweep for the column walk TotalCurrent also takes
-// (columnWalk). Each accumulator keeps the exact operation order of its
-// scalar counterpart, so results are bit-identical to calling
-// OutputCurrents then TotalCurrent once per input; for a noisy array
-// that sequential pair IS the implementation (two reads per input, in
-// that order), preserving the noise-stream consumption order of the
-// scalar query path.
+// noise-free array the two matrices are walked in fused passes with a
+// single backing allocation for the whole batch, which is what makes
+// fused power-measuring serving cheaper than per-call Forward-then-Power
+// reads. An input with at most one nonzero (a basis query) skips the
+// sweep for the column walk TotalCurrent also takes (columnWalk); the
+// other inputs are swept four at a time, in batch order, by sweep4, and
+// a last one to three by sweep. Each accumulator keeps the exact
+// operation order of its scalar counterpart, so results are
+// bit-identical to calling OutputCurrents then TotalCurrent once per
+// input; for a noisy array that sequential pair IS the implementation
+// (two reads per input, in that order), preserving the noise-stream
+// consumption order of the scalar query path.
 //
 //xbar:hotpath
 func (x *Crossbar) OutputTotalCurrentBatch(us [][]float64) ([][]float64, []float64, error) {
@@ -212,15 +212,77 @@ func (x *Crossbar) OutputTotalCurrentBatch(us [][]float64) ([][]float64, []float
 	}
 	x.effective()
 	slab := make([]float64, len(us)*x.rows)
+	var dense [4]int // batch indices of the inputs awaiting sweep4
+	n := 0
 	for b, u := range us {
 		out := slab[b*x.rows : (b+1)*x.rows : (b+1)*x.rows]
+		outs[b] = out
 		total, ok := x.columnWalk(u, out)
-		if !ok {
-			total = x.sweep(u, out)
+		if ok {
+			totals[b] = total
+			continue
 		}
-		outs[b], totals[b] = out, total
+		dense[n] = b
+		if n++; n == len(dense) {
+			x.sweep4(us, outs, totals, &dense)
+			n = 0
+		}
+	}
+	for _, b := range dense[:n] {
+		totals[b] = x.sweep(us[b], outs[b])
 	}
 	return outs, totals, nil
+}
+
+// sweep4 is sweep for the four noise-free inputs us[g[0]], …, us[g[3]]
+// in one pass over each pair of conductance rows: eight accumulators,
+// each input's output-row chain and its total chain, each adding the
+// same d·u·Vdd terms in sweep's order, the masking row's last. It writes
+// outs[g[k]] and totals[g[k]]. Unlike sweep it does not skip zero
+// inputs: every chain starts at +0 and can never reach −0 (a sum is −0
+// only when both addends are), so a ±0 term leaves it bit-identical,
+// while four independent chains per row replace sweep's one
+// latency-bound total.
+//
+//xbar:hotpath
+func (x *Crossbar) sweep4(us, outs [][]float64, totals []float64, g *[4]int) {
+	vdd := x.cfg.Vdd
+	u0, u1, u2, u3 := us[g[0]], us[g[1]], us[g[2]], us[g[3]]
+	n := len(u0)
+	u1, u2, u3 = u1[:n], u2[:n], u3[:n]
+	o0, o1, o2, o3 := outs[g[0]], outs[g[1]], outs[g[2]], outs[g[3]]
+	var t0, t1, t2, t3 float64
+	for i := 0; i < x.rows; i++ {
+		dRow := x.effDiff.Row(i)[:n]
+		sRow := x.effSum.Row(i)[:n]
+		var c0, c1, c2, c3 float64
+		for j, a := range u0 {
+			d, s := dRow[j], sRow[j]
+			c0 += d * a * vdd
+			t0 += s * a * vdd
+			a = u1[j]
+			c1 += d * a * vdd
+			t1 += s * a * vdd
+			a = u2[j]
+			c2 += d * a * vdd
+			t2 += s * a * vdd
+			a = u3[j]
+			c3 += d * a * vdd
+			t3 += s * a * vdd
+		}
+		o0[i], o1[i], o2[i], o3[i] = c0, c1, c2, c3
+	}
+	if x.effMask != nil {
+		mask := x.effMask[:n]
+		for j, a := range u0 {
+			m := mask[j]
+			t0 += m * a * vdd
+			t1 += m * u1[j] * vdd
+			t2 += m * u2[j] * vdd
+			t3 += m * u3[j] * vdd
+		}
+	}
+	totals[g[0]], totals[g[1]], totals[g[2]], totals[g[3]] = t0, t1, t2, t3
 }
 
 // sweep is the fused kernel's general pass for one noise-free input:
@@ -233,8 +295,8 @@ func (x *Crossbar) sweep(u, out []float64) float64 {
 	vdd := x.cfg.Vdd
 	var total float64
 	for i := 0; i < x.rows; i++ {
-		dRow := x.effDiff.Row(i)
-		sRow := x.effSum.Row(i)
+		dRow := x.effDiff.Row(i)[:len(u)]
+		sRow := x.effSum.Row(i)[:len(u)]
 		var s float64
 		for j, uj := range u {
 			if uj == 0 {
@@ -246,11 +308,12 @@ func (x *Crossbar) sweep(u, out []float64) float64 {
 		out[i] = s
 	}
 	if x.effMask != nil {
+		mask := x.effMask[:len(u)]
 		for j, uj := range u {
 			if uj == 0 {
 				continue
 			}
-			total += x.effMask[j] * uj * vdd
+			total += mask[j] * uj * vdd
 		}
 	}
 	return total

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"math"
 	"testing"
 
 	"xbarsec/internal/nn"
@@ -9,12 +10,16 @@ import (
 )
 
 // batchTestWeights returns a small weight matrix with mixed signs, zeros
-// and magnitude spread, plus a batch of inputs that includes exact zeros
-// (exercising the sparse-input skip), an all-zero vector and three
-// one-hot vectors (the basis queries the column walk serves): the
-// nonzero at the first, a middle and the last column, valued 1, 0.37 and
-// −0.5. The negative one turns every zero effective conductance into a
-// −0 term, which the general sweep's +0 accumulator reads as +0.
+// and magnitude spread, plus a batch of inputs: eleven dense ones, so
+// the fused kernel sweeps them in groups of four and the prefixes of the
+// batch leave every tail of 0 to 3, with an all-zero vector and three
+// one-hot vectors (the basis queries the column walk serves) between
+// them, so a group spans walked inputs. Dense entries are +0, −0,
+// negative or positive: the sweep skips both zeros, the grouped sweep
+// adds them as ±0 terms. The one-hot nonzeros sit at the first, a middle
+// and the last column, valued 1, 0.37 and −0.5; the negative one turns
+// every zero effective conductance into a −0 term, which the general
+// sweep's +0 accumulator reads as +0.
 func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64) {
 	t.Helper()
 	src := rng.New(11)
@@ -29,27 +34,34 @@ func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64
 			}
 		}
 	}
-	const batch = 7
-	us := make([][]float64, batch)
-	for b := 0; b < batch-1; b++ {
+	dense := make([][]float64, 11)
+	for b := range dense {
 		u := make([]float64, cols)
 		for j := range u {
-			if src.Intn(3) > 0 {
+			switch src.Intn(4) {
+			case 0:
+				// leave +0
+			case 1:
+				u[j] = math.Copysign(0, -1)
+			case 2:
+				u[j] = -src.Float64()
+			default:
 				u[j] = src.Float64()
 			}
 		}
-		us[b] = u
+		dense[b] = u
 	}
-	us[batch-1] = make([]float64, cols) // all-zero input
-	for _, hot := range []struct {
-		j int
-		v float64
-	}{{0, 1}, {cols / 2, 0.37}, {cols - 1, -0.5}} {
+	oneHot := func(j int, v float64) []float64 {
 		u := make([]float64, cols)
-		u[hot.j] = hot.v
-		us = append(us, u)
+		u[j] = v
+		return u
 	}
-	return w, us
+	return w, [][]float64{
+		dense[0], dense[1], make([]float64, cols), dense[2],
+		oneHot(0, 1), dense[3], dense[4], oneHot(cols/2, 0.37),
+		dense[5], dense[6], dense[7], dense[8],
+		oneHot(cols-1, -0.5), dense[9], dense[10],
+	}
 }
 
 // nonIdealNoNoiseConfig enables every deterministic non-ideality:

@@ -388,7 +388,7 @@ func (x *Crossbar) TotalCurrent(u []float64) (float64, error) {
 			return walked, nil
 		}
 		for i := 0; i < x.rows; i++ {
-			sRow := x.effSum.Row(i)
+			sRow := x.effSum.Row(i)[:len(u)]
 			for j, uj := range u {
 				if uj == 0 {
 					continue

@@ -36,9 +36,12 @@ func sweepTotal(x *Crossbar, u []float64) float64 {
 // Forward-then-Power reads, per input in that order, on fresh
 // identically-programmed twins (bit-identical, including the noise
 // stream consumption order of noisy arrays and the sign of zeros).
-// OutputCurrents has no column walk, so the fused kernel's walked
-// outputs are checked against the general sweep; on a noise-free array
-// every total is also checked against sweepTotal.
+// OutputCurrents has no column walk and sweeps one input at a time, so
+// the fused kernel's walked and grouped outputs are checked against the
+// general sweep; on a noise-free array every total is also checked
+// against sweepTotal. The fused kernel reads every prefix of us, each on
+// a fresh twin, so each way a batch splits into groups of four and a
+// tail is checked.
 func checkFusedMatches(t *testing.T, program func() *Crossbar, us [][]float64) {
 	t.Helper()
 	if ref := program(); !ref.Noisy() {
@@ -52,7 +55,7 @@ func checkFusedMatches(t *testing.T, program func() *Crossbar, us [][]float64) {
 			}
 		}
 	}
-	seq, fused := program(), program()
+	seq := program()
 	wantOut := make([][]float64, len(us))
 	wantTot := make([]float64, len(us))
 	for b, u := range us {
@@ -66,17 +69,19 @@ func checkFusedMatches(t *testing.T, program func() *Crossbar, us [][]float64) {
 		}
 		wantOut[b], wantTot[b] = out, tot
 	}
-	gotOut, gotTot, err := fused.OutputTotalCurrentBatch(us)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range us {
-		if math.Float64bits(gotTot[b]) != math.Float64bits(wantTot[b]) {
-			t.Fatalf("fused total[%d] = %v, sequential %v", b, gotTot[b], wantTot[b])
+	for k := 1; k <= len(us); k++ {
+		gotOut, gotTot, err := program().OutputTotalCurrentBatch(us[:k])
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range wantOut[b] {
-			if math.Float64bits(gotOut[b][i]) != math.Float64bits(wantOut[b][i]) {
-				t.Fatalf("fused out[%d][%d] = %v, sequential %v", b, i, gotOut[b][i], wantOut[b][i])
+		for b := range k {
+			if math.Float64bits(gotTot[b]) != math.Float64bits(wantTot[b]) {
+				t.Fatalf("batch of %d: fused total[%d] = %v, sequential %v", k, b, gotTot[b], wantTot[b])
+			}
+			for i := range wantOut[b] {
+				if math.Float64bits(gotOut[b][i]) != math.Float64bits(wantOut[b][i]) {
+					t.Fatalf("batch of %d: fused out[%d][%d] = %v, sequential %v", k, b, i, gotOut[b][i], wantOut[b][i])
+				}
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"testing"
@@ -192,6 +193,58 @@ func TestF64BodyValidation(t *testing.T) {
 	// The session still answers a well-formed binary body.
 	if status, resp := postQuery(t, ts, sess.ID(), "queries", api.MediaTypeF64, bytes.NewReader(valid(2))); status != http.StatusOK {
 		t.Fatalf("valid body after the rejections: %d %s", status, resp)
+	}
+}
+
+// TestF64BodyRejectedHeaderDrained: a body whose header is refused is
+// decoded no further, but the rest of it is drained unstored, so the
+// typed 400 reaches the client on a connection that stays open, and the
+// same keep-alive client's next query reuses it and succeeds.
+func TestF64BodyRejectedHeaderDrained(t *testing.T) {
+	c, ts, v := httpFixture(t)
+	sess := openRaw(t, c, "mnist-toy", 10)
+	cols := v.Inputs()
+	hc := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(hc.CloseIdleConnections)
+	post := func(body []byte, payload int64) (status int, resp []byte, reused bool) {
+		trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), http.MethodPost,
+			ts.URL+api.PathPrefix+"/sessions/"+sess.ID()+"/queries", io.MultiReader(bytes.NewReader(body), io.LimitReader(zeros{}, payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = int64(len(body)) + payload
+		req.Header.Set("Content-Type", api.MediaTypeF64)
+		r, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		if resp, err = io.ReadAll(r.Body); err != nil {
+			t.Fatal(err)
+		}
+		return r.StatusCode, resp, reused
+	}
+	header := func(rows, cols int) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(rows)), uint32(cols))
+	}
+	status, resp, _ := post(header(1, cols+1), 8<<20)
+	var e api.Error
+	if err := json.Unmarshal(resp, &e); err != nil {
+		t.Fatalf("non-envelope body %q", resp)
+	}
+	if status != http.StatusBadRequest || e.Code != api.CodeBadRequest || !strings.Contains(e.Detail, fmt.Sprintf("want %d", cols)) {
+		t.Fatalf("status %d envelope %+v, want 400 bad_request naming the row width", status, e)
+	}
+	status, resp, reused := post(header(1, cols), int64(8*cols))
+	if status != http.StatusOK {
+		t.Fatalf("next query: status %d body %s", status, resp)
+	}
+	if !reused {
+		t.Fatal("the next query did not reuse the rejected request's connection")
+	}
+	if q := charged(t, sess); q != 1 {
+		t.Fatalf("charged %d queries, want 1", q)
 	}
 }
 

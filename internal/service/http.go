@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -215,30 +214,23 @@ func isF64Body(r *http.Request) bool {
 }
 
 // decodeF64Rows reads a binary query body through the same size cap as
-// JSON bodies and parses it into 1..maxRows rows of exactly cols finite
-// values, sharing one slab. The buffer grows only with the bytes that
-// arrive, never from a declared length (Content-Length or the body's
-// header), so a client that declares a large body and sends little
-// pins little memory. It stores at most one byte more than the largest
-// body the endpoint accepts; the rest of a longer body is drained
-// unstored, so the typed reply still reaches the client on a clean
-// connection. Failures are bad_request envelopes, raised before any
-// budget is reserved.
+// JSON bodies and decodes it, as it arrives, into 1..maxRows rows of
+// exactly cols finite values (api.ReadF64Rows). Memory grows only with
+// the bytes that arrive, never from a declared length (Content-Length or
+// the body's header): the decoded rows hold at most twice the bytes
+// received, plus a fixed read buffer, so a client that declares a large
+// body and sends little pins little memory. On any failure the rest of
+// the body is drained unstored, so the typed reply still reaches the
+// client on a clean connection; a body past the size cap reports that
+// instead. Failures are bad_request envelopes, raised before any budget
+// is reserved.
 func decodeF64Rows(w http.ResponseWriter, r *http.Request, cols, maxRows int) ([][]float64, error) {
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
-	limit := 8 + 8*int64(maxRows)*int64(cols) // [rows][cols] header + values
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(io.LimitReader(body, limit+1))
-	if err == nil && int64(buf.Len()) > limit {
-		// No valid body is this long, so the parser rejects what is
-		// stored, naming the broken rule.
-		_, err = io.Copy(io.Discard, body)
-	}
-	var rows [][]float64
-	if err == nil {
-		rows, err = api.ParseF64Rows(buf.Bytes(), cols, maxRows)
-	}
+	rows, err := api.ReadF64Rows(body, cols, maxRows)
 	if err != nil {
+		if _, drainErr := io.Copy(io.Discard, body); drainErr != nil {
+			err = drainErr
+		}
 		return nil, &api.Error{
 			Code:    api.CodeBadRequest,
 			Message: "malformed request body",

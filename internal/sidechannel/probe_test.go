@@ -259,6 +259,62 @@ func TestHillClimbValidation(t *testing.T) {
 	}
 }
 
+// peakMeter reads Σ_j f(j)·u_j without allocating, where f(j) = w + h
+// minus pixel j's Manhattan distance to the peak: a basis query e_j
+// reads f(j) exactly, the peak reads w + h, and any entry left set by an
+// earlier read shows.
+type peakMeter struct{ w, h, px, py int }
+
+func (m peakMeter) Inputs() int { return m.w * m.h }
+func (m peakMeter) Power(u []float64) (float64, error) {
+	var p float64
+	for j, uj := range u {
+		dx, dy := j%m.w-m.px, j/m.w-m.py
+		p += float64(m.w+m.h-max(dx, -dx)-max(dy, -dy)) * uj
+	}
+	return p, nil
+}
+
+// TestHillClimbAllocsFixed pins the search's allocations to a count
+// independent of the input width and the number of queries: one basis
+// vector reused across every read, never a fresh vector per read.
+func TestHillClimbAllocsFixed(t *testing.T) {
+	cfg := HillClimbConfig{Restarts: 3, MaxSteps: 40}
+	allocs := map[int]float64{}
+	for _, tc := range []struct {
+		meter       peakMeter
+		seed        int64
+		wantQueries int
+		wantIdx     int
+	}{
+		{peakMeter{w: 8, h: 8, px: 2, py: 5}, 1, 36, 5*8 + 2},
+		{peakMeter{w: 28, h: 28, px: 9, py: 18}, 2, 81, 18*28 + 9},
+	} {
+		n := tc.meter.Inputs()
+		probe, err := NewProbe(tc.meter, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Width, cfg.Height = tc.meter.w, tc.meter.h
+		res, err := HillClimbMaxSearch(probe, cfg, rng.New(tc.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Queries != tc.wantQueries || res.Index != tc.wantIdx || res.Signal != float64(tc.meter.w+tc.meter.h) {
+			t.Fatalf("N=%d: %+v, want the peak %d read as %d in %d queries (basis entries must be reset)",
+				n, res, tc.wantIdx, tc.meter.w+tc.meter.h, tc.wantQueries)
+		}
+		allocs[n] = testing.AllocsPerRun(10, func() {
+			if _, err := HillClimbMaxSearch(probe, cfg, rng.New(tc.seed)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[64] != allocs[784] {
+		t.Fatalf("allocations grow with N or queries: %v for 36 queries at N=64, %v for 81 at N=784", allocs[64], allocs[784])
+	}
+}
+
 func TestHillClimbOnCrossbarBeatsQueryBudget(t *testing.T) {
 	// Build a crossbar whose column 1-norms form a smooth 2D bump, as the
 	// paper observes for MNIST.

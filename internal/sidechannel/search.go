@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xbarsec/internal/rng"
-	"xbarsec/internal/tensor"
 )
 
 // Query-efficient search for the input column with the largest power
@@ -65,11 +64,14 @@ func HillClimbMaxSearch(p *Probe, cfg HillClimbConfig, src *rng.Source) (SearchR
 
 	cache := make(map[int]float64, 4*cfg.Restarts*cfg.MaxSteps)
 	var queries int
+	e := make([]float64, n) // the basis vector, one entry set per read
 	measure := func(idx int) (float64, error) {
 		if v, ok := cache[idx]; ok {
 			return v, nil
 		}
-		v, err := p.Measure(tensor.Basis(n, idx, 1))
+		e[idx] = 1
+		v, err := p.Measure(e)
+		e[idx] = 0
 		if err != nil {
 			return 0, err
 		}
