@@ -1,8 +1,8 @@
 GO ?= go
-BENCH_JSON ?= BENCH_21.json
+BENCH_JSON ?= BENCH_23.json
 COVER_PROFILE ?= cover.out
 
-.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json bench-compare bench-harness chaos cluster fuzz cover examples test-fast ci
+.PHONY: build test race vet xbarvet lint api-baseline goldens goldens-check fmt fmt-check bench bench-json bench-compare bench-harness chaos cluster fuzz cover examples test-fast cross ci
 
 build:
 	$(GO) build ./...
@@ -96,7 +96,7 @@ bench:
 # intermediate files so a failing benchmark fails the target instead of
 # being swallowed by the conversion pipe.
 bench-json:
-	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$|ReadF64Rows$$' -benchtime 200x -count 3 -benchmem . > /tmp/xbarsec-bench-micro.txt
+	$(GO) test -run XXX -bench 'GemmTA$$|GemmTB$$|GemmTAFast$$|GemmTBFast$$|GemmNarrow$$|PowerGrad$$|TrainEpoch|CrossbarMVM|CrossbarPower|NormExtraction|FGSM$$|ReadF64Rows$$' -benchtime 200x -count 3 -benchmem . > /tmp/xbarsec-bench-micro.txt
 	$(GO) test -run XXX -bench 'SurrogateTrain|Table1$$|Table1Fast$$|ServeBatchQPS' -benchtime 3x -count 3 -benchmem . > /tmp/xbarsec-bench-macro.txt
 	$(GO) test -run XXX -bench 'VictimStoreColdFig3$$|VictimStoreWarmFig3$$|VictimStoreCrossRunnerCold$$|VictimStoreCrossRunnerWarm$$|RegistryReplayWarm$$|ServiceColdRestart$$' -benchtime 3x -count 3 -benchmem . > /tmp/xbarsec-bench-store.txt
 	$(GO) test -run XXX -bench 'GemmSweep' -benchtime 50x -count 3 -benchmem . > /tmp/xbarsec-bench-sweep.txt
@@ -149,7 +149,8 @@ cluster:
 # (go test accepts one -fuzz target per run): the binary query-body
 # parser (the server's first contact with a binary request), the spill
 # file read and its record check, journal replay over arbitrary bytes,
-# the fast dot kernels against the reference chain, and the -peers
+# the fast dot kernels against the reference chain, the exact kernels'
+# AVX paths against their Go loops, bit for bit, and the -peers
 # membership parser. Each target starts from its f.Add seeds plus any
 # committed corpus under testdata/fuzz/<target>; a failure writes the
 # crashing input there, ready to commit as a regression seed. CI runs it
@@ -161,6 +162,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillRecord$$' -fuzztime 30s -fuzzminimizetime 10x ./internal/memo/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 30s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastDotEquiv$$' -fuzztime 30s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzExactKernels$$' -fuzztime 30s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMembers$$' -fuzztime 30s ./internal/cluster/
 
 # Builds and RUNS every example end to end (each takes a second or two;
@@ -183,4 +185,12 @@ cover:
 	$(GO) test -coverprofile=$(COVER_PROFILE) -covermode=atomic ./...
 	$(GO) tool cover -func=$(COVER_PROFILE) | tail -n 1
 
-ci: build vet lint fmt-check test bench-harness
+# Cross-architecture build, offline: vets the tree for arm64 and builds
+# it for 386, so an assembly kernel without its portable stub (or a
+# stub whose signature drifted) fails here rather than on another
+# machine. Nothing runs; no emulator is needed.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
+
+ci: build vet lint fmt-check test bench-harness cross

@@ -624,6 +624,54 @@ func BenchmarkGemmTB(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmNarrow measures the exact forward kernel at the surrogate
+// training step's shape: a 32-sample mini-batch of 784 inputs against
+// [Wᵀ | ‖W_:,j‖₁] for 10 outputs, 11 columns.
+func BenchmarkGemmNarrow(b *testing.B) {
+	src := rng.New(1)
+	u := tensor.New(32, 784)
+	bt := tensor.New(784, 11)
+	s := tensor.New(32, 11)
+	for _, m := range []*tensor.Matrix{u, bt} {
+		d := m.Data()
+		for i := range d {
+			d[i] = src.Uniform(-1, 1)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.GemmNarrow(s, u, bt)
+	}
+}
+
+// BenchmarkPowerGrad measures the exact power-loss gradient kernel at the
+// surrogate training step's shape: a 10 x 784 gradient over 32 samples.
+func BenchmarkPowerGrad(b *testing.B) {
+	src := rng.New(3)
+	g := tensor.New(10, 784)
+	d := tensor.New(32, 10)
+	u := tensor.New(32, 784)
+	sgn := tensor.New(10, 784)
+	coeffs := make([]float64, 32)
+	for _, m := range []*tensor.Matrix{d, u} {
+		dd := m.Data()
+		for i := range dd {
+			dd[i] = src.Uniform(-1, 1)
+		}
+	}
+	sd := sgn.Data()
+	for i := range sd {
+		sd[i] = float64(i%3 - 1)
+	}
+	for i := range coeffs {
+		coeffs[i] = src.Uniform(-0.01, 0.01)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.PowerGrad(g, d, u, sgn, coeffs)
+	}
+}
+
 // BenchmarkGemmTA measures the batch-gradient contraction kernel at the
 // training shape (32 deltas x 10 outputs against 32 x 3072 inputs).
 func BenchmarkGemmTA(b *testing.B) {

@@ -320,7 +320,7 @@ func (x *Crossbar) OutputCurrents(u []float64) ([]float64, error) {
 	if x.reads == nil {
 		x.effective()
 		for i := 0; i < x.rows; i++ {
-			dRow := x.effDiff.Row(i)
+			dRow := x.effDiff.Row(i)[:len(u)]
 			var s float64
 			for j, uj := range u {
 				if uj == 0 {

@@ -116,25 +116,58 @@ func equivQuerySet(t *testing.T, queries int, mode oracle.Mode) *oracle.QuerySet
 	return qs
 }
 
+// directQuerySet builds a query set without an oracle: 50 queries of 37
+// inputs (about a fifth of them zero) with 12 target outputs and positive
+// power readings. Neither width is a multiple of four, and the forward
+// operand [Wᵀ | ‖W_:,j‖₁] is 13 columns wide, so the training step runs
+// the exact kernels' lane tails and a second 12-column panel.
+func directQuerySet() *oracle.QuerySet {
+	src := rng.New(37)
+	const q, n, m = 50, 37, 12
+	qs := &oracle.QuerySet{U: tensor.New(q, n), Y: tensor.New(q, m), P: make([]float64, q)}
+	u, y := qs.U.Data(), qs.Y.Data()
+	for i := range u {
+		if src.Float64() >= 0.2 {
+			u[i] = src.Float64()
+		}
+	}
+	for i := range y {
+		y[i] = src.Uniform(-1, 1)
+	}
+	for i := range qs.P {
+		qs.P[i] = src.Uniform(0, 20)
+	}
+	return qs
+}
+
 // TestTrainMatchesPerSampleReference pins the batched surrogate trainer,
-// including the grouped power-gradient sweep, to the old per-sample loop,
-// bit for bit. Over 50 queries the batch sizes run the sweep's
-// four-sample groups and its single-sample tail both in full mini-batches
+// including the exact forward and power-gradient kernels, to the old
+// per-sample loop, bit for bit. Over 50 queries the batch sizes run the
+// gradient sweep's four-sample groups and its single-sample tail, and the
+// forward's four-row groups and their tails, both in full mini-batches
 // and in remainder ones (batch 7: 7 × 7 + 1; batch 32: 32 + 18), with and
-// without the power loss, on raw-output and label-only query sets. Under
-// a non-bit-exact tensor backend (-tensor.fast) the pin relaxes to a
-// tight relative tolerance, as in the nn equivalence suite. Every SGD
-// step adds that backend's reassociation error again, so the tolerance
-// grows with the number of steps: 1e-8 at batch 32 (8 steps), 25 times
-// that at batch 1 (200 steps).
+// without the power loss, on raw-output and label-only query sets and on
+// directQuerySet's odd widths. Under a non-bit-exact tensor backend
+// (-tensor.fast) the pin relaxes to a tight relative tolerance, as in the
+// nn equivalence suite. Every SGD step adds that backend's reassociation
+// error again, so the tolerance grows with the number of steps: 1e-8 at
+// batch 32 (8 steps), 25 times that at batch 1 (200 steps).
 func TestTrainMatchesPerSampleReference(t *testing.T) {
 	const relTolPer8Steps = 1e-8
 	exact := tensor.Active().BitExact()
-	for _, mode := range []oracle.Mode{oracle.RawOutput, oracle.LabelOnly} {
-		qs := equivQuerySet(t, 50, mode)
+	sets := []struct {
+		name string
+		qs   *oracle.QuerySet
+	}{
+		{oracle.RawOutput.String(), equivQuerySet(t, 50, oracle.RawOutput)},
+		{oracle.LabelOnly.String(), equivQuerySet(t, 50, oracle.LabelOnly)},
+		{"direct-37x12", directQuerySet()},
+	}
+	for _, set := range sets {
+		qs := set.qs
 		for _, lambda := range []float64{0, 0.004} {
 			for _, batch := range []int{1, 2, 3, 4, 5, 7, 32} {
-				t.Run(fmt.Sprintf("%s/lambda=%v/batch=%d", mode, lambda, batch), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/lambda=%v/batch=%d", set.name, lambda, batch), func(t *testing.T) {
 					cfg := Config{Lambda: lambda, Epochs: 4, BatchSize: batch, LearningRate: 0.05, Momentum: 0.9}
 					want := referenceTrain(qs, cfg, rng.New(77))
 					got, err := Train(qs, cfg, rng.New(77))

@@ -21,6 +21,7 @@ package surrogate
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xbarsec/internal/linalg"
 	"xbarsec/internal/nn"
@@ -115,7 +116,8 @@ func Train(qs *oracle.QuerySet, cfg Config, src *rng.Source) (*Model, error) {
 }
 
 // trainViews is one set of mini-batch workspaces: gathered query inputs u
-// and oracle outputs y, pre-activations s, and output-MSE deltas d.
+// and oracle outputs y, the forward pass s (each sample's outputs, then
+// its power prediction p̂(u)), and output-MSE deltas d.
 type trainViews struct {
 	rows       int
 	u, y, s, d *tensor.Matrix
@@ -123,14 +125,15 @@ type trainViews struct {
 
 // trainWorkspace owns the reusable surrogate-training buffers. As in nn,
 // an epoch sees at most two mini-batch sizes, so both view sets alias one
-// allocation and the steady-state step allocates nothing. The power-term
-// buffers (current column 1-norms, per-sample power coefficients, and the
-// sign matrix of W) are only present when the power loss is active.
+// allocation and the steady-state step allocates nothing. bt holds the
+// forward operand [Wᵀ | ‖W_:,j‖₁]; the power-term buffers (per-sample
+// power coefficients and the sign matrix of W) are only present when
+// the power loss is active.
 type trainWorkspace struct {
 	full, rem trainViews
-	colNorms  []float64      // ‖W_:,j‖₁, refreshed per mini-batch
+	bt        *tensor.Matrix // [Wᵀ | ‖W_:,j‖₁], rewritten per mini-batch
 	coeffs    []float64      // 2λ(p̂(u_b) - p_b) per mini-batch sample
-	sgn       *tensor.Matrix // sign(w_ij), refreshed per mini-batch
+	sgn       *tensor.Matrix // sign(w_ij), rewritten per mini-batch
 }
 
 func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
@@ -141,10 +144,10 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 		rows: batch,
 		u:    tensor.New(batch, n),
 		y:    tensor.New(batch, m),
-		s:    tensor.New(batch, m),
+		s:    tensor.New(batch, m+1),
 		d:    tensor.New(batch, m),
 	}
-	ws := &trainWorkspace{full: full}
+	ws := &trainWorkspace{full: full, bt: tensor.New(n, m+1)}
 	if rem := total % batch; rem != 0 {
 		ws.rem = trainViews{
 			rows: rem,
@@ -155,7 +158,6 @@ func newTrainWorkspace(batch, total, n, m int, usePower bool) *trainWorkspace {
 		}
 	}
 	if usePower {
-		ws.colNorms = make([]float64, n)
 		ws.coeffs = make([]float64, batch)
 		ws.sgn = tensor.New(m, n)
 	}
@@ -173,14 +175,17 @@ func (w *trainWorkspace) views(rows int) *trainViews {
 }
 
 // step computes the summed mini-batch gradient of Eq. (9) into grad
-// (overwritten). The forward pass runs as one matrix-matrix product for
-// the whole mini-batch. Without the power term the gradient is a single
-// batch contraction (GemmTA). With it, each sample adds two terms to
-// every gradient element, its output-MSE term d_bi·u_bj and then its
-// power term s_ij·(c_b·u_bj), and powerGrad adds them in that order,
-// sample after sample, on one accumulator chain per element, so the
-// result is bit-identical to the per-sample reference loop (pinned by
-// TestTrainMatchesPerSampleReference in this package).
+// (overwritten). One forward product against [Wᵀ | ‖W_:,j‖₁] yields, for
+// every sample, its outputs on MatVec's chain and its power prediction
+// p̂(u) = Σ_j u_j‖W_:,j‖₁ on tensor.Dot's. Without the power term the
+// gradient is a single batch contraction (GemmTA). With it, each sample
+// adds two terms to every gradient element, its output-MSE term
+// d_bi·u_bj and then its power term s_ij·(c_b·u_bj), and
+// tensor.PowerGrad adds them in that order, sample after sample, on one
+// accumulator chain per element. So the result is bit-identical to the
+// per-sample reference loop (pinned by TestTrainMatchesPerSampleReference
+// in this package); for λ > 0 under either tensor backend, since both
+// exact kernels sit outside it.
 //
 //xbar:hotpath
 func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, idxs []int, v *trainViews, grad *tensor.Matrix, usePower bool) {
@@ -189,12 +194,14 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 		v.u.CopyRow(bi, qs.U, idx)
 		v.y.CopyRow(bi, qs.Y, idx)
 	}
-	tensor.GemmTB(v.s, v.u, net.W)
+	w.packWeights(net.W)
+	tensor.GemmNarrow(v.s, v.u, w.bt)
 	fm := float64(m)
 	for bi := range idxs {
 		s, y, d := v.s.Row(bi), v.y.Row(bi), v.d.Row(bi)
+		s, y = s[:len(d)], y[:len(d)]
 		// Output MSE term: δ = 2(Wu - y)/M.
-		for i := range s {
+		for i := range d {
 			d[i] = 2 * (s[i] - y[i]) / fm
 		}
 	}
@@ -202,72 +209,52 @@ func (w *trainWorkspace) step(net *nn.Network, qs *oracle.QuerySet, cfg Config, 
 		tensor.GemmTA(grad, v.d, v.u)
 		return
 	}
-	net.W.ColAbsSumsInto(w.colNorms)
-	sgnData, wData := w.sgn.Data(), net.W.Data()
-	for k, wk := range wData {
-		switch {
-		case wk > 0:
-			sgnData[k] = 1
-		case wk < 0:
-			sgnData[k] = -1
-		default:
-			sgnData[k] = 0
-		}
-	}
-	// Power term: e = p̂(u) - p, p̂(u) = Σ_j u_j ‖W_:,j‖₁;
-	// ∂p̂/∂w_ij = u_j·sign(w_ij). Neither W nor the column norms change
-	// within the step, so every sample's coefficient 2λe is known before
-	// grad is touched.
+	// Power term: e = p̂(u) - p; ∂p̂/∂w_ij = u_j·sign(w_ij). Neither W nor
+	// its column norms change within the step, so every sample's
+	// coefficient 2λe is known before grad is touched.
 	coeffs := w.coeffs[:len(idxs)]
 	for bi, idx := range idxs {
-		coeffs[bi] = cfg.Lambda * 2 * (tensor.Dot(v.u.Row(bi), w.colNorms) - qs.P[idx])
+		coeffs[bi] = cfg.Lambda * 2 * (v.s.At(bi, m) - qs.P[idx])
 	}
-	powerGrad(grad, v.d, v.u, w.sgn, coeffs)
+	tensor.PowerGrad(grad, v.d, v.u, w.sgn, coeffs)
 }
 
-// powerGrad computes grad = Σ_b (d_b ⊗ u_b + sgn ∘ (c_b·u_b)),
-// overwriting grad. Each element (i, j) adds, for each sample b in
-// increasing order, d_bi·u_bj and then sgn_ij·(c_b·u_bj), on one chain.
-// One pass over a gradient row adds four samples, as the GemmTA kernel
-// groups them, so the row is loaded and stored once per four samples
-// instead of twice per sample; the row and its signs stay in L1 while
-// the samples stream past. A zero d_bi is not skipped: every input is
-// finite, so its term is ±0, and adding ±0 to a chain that began at +0
-// is bitwise neutral (see tensor/gemm.go).
+// packWeights is the step's one pass over W. It writes bt = [Wᵀ |
+// ‖W_:,j‖₁], each norm summed over i in increasing order from +0 as
+// Matrix.ColAbsSums sums it, and, under the power loss, sgn = sign(W):
+// 1, -1, or 0 for ±0, from two comparisons rather than a branch on the
+// weight.
 //
 //xbar:hotpath
-func powerGrad(grad, d, u, sgn *tensor.Matrix, coeffs []float64) {
-	grad.Fill(0)
-	for i := 0; i < grad.Rows(); i++ {
-		g, s := grad.Row(i), sgn.Row(i)
-		s = s[:len(g)]
-		b := 0
-		for ; b+4 <= len(coeffs); b += 4 {
-			c0, c1, c2, c3 := coeffs[b], coeffs[b+1], coeffs[b+2], coeffs[b+3]
-			x0, x1, x2, x3 := d.At(b, i), d.At(b+1, i), d.At(b+2, i), d.At(b+3, i)
-			u0, u1, u2, u3 := u.Row(b), u.Row(b+1), u.Row(b+2), u.Row(b+3)
-			u0, u1, u2, u3 = u0[:len(g)], u1[:len(g)], u2[:len(g)], u3[:len(g)]
-			for j, t := range g {
-				sj := s[j]
-				t += x0 * u0[j]
-				t += sj * (c0 * u0[j])
-				t += x1 * u1[j]
-				t += sj * (c1 * u1[j])
-				t += x2 * u2[j]
-				t += sj * (c2 * u2[j])
-				t += x3 * u3[j]
-				g[j] = t + sj*(c3*u3[j])
-			}
-		}
-		for ; b < len(coeffs); b++ {
-			c, x, ub := coeffs[b], d.At(b, i), u.Row(b)
-			ub = ub[:len(g)]
-			for j, t := range g {
-				t += x * ub[j]
-				g[j] = t + s[j]*(c*ub[j])
-			}
-		}
+func (w *trainWorkspace) packWeights(W *tensor.Matrix) {
+	m, n := W.Rows(), W.Cols()
+	wd, bt := W.Data(), w.bt.Data()
+	var sgn []float64
+	if w.sgn != nil {
+		sgn = w.sgn.Data()
 	}
+	for j := 0; j < n; j++ {
+		col := bt[j*(m+1) : (j+1)*(m+1)]
+		var norm float64
+		for i := range m {
+			x := wd[i*n+j]
+			col[i] = x
+			norm += math.Abs(x)
+			if sgn != nil {
+				sgn[i*n+j] = float64(b2i(x > 0) - b2i(x < 0))
+			}
+		}
+		col[m] = norm
+	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler sets it from the
+// comparison's flags, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AlgebraicExtract recovers the oracle's weights from raw-output queries

@@ -170,6 +170,8 @@ func TestGemmShapePanics(t *testing.T) {
 		"GemmTB":     func() { GemmTB(New(2, 4), a, b) },
 		"MatVecInto": func() { MatVecInto(make([]float64, 2), a, make([]float64, 4)) },
 		"VecMatInto": func() { VecMatInto(make([]float64, 3), make([]float64, 4), a) },
+		"GemmNarrow": func() { GemmNarrow(New(2, 5), a, b) },
+		"PowerGrad":  func() { PowerGrad(New(3, 5), a, b, New(3, 5), make([]float64, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -193,8 +195,12 @@ func TestKernelsAllocationFree(t *testing.T) {
 	vm := make([]float64, 300)
 	vel := New(16, 10)
 	gsg := New(16, 10)
+	grad := New(10, 300)
+	coeffs := make([]float64, 16)
 	for name, f := range map[string]func(){
 		"Gemm":       func() { Gemm(dst, a, bt) },
+		"GemmNarrow": func() { GemmNarrow(dst, a, bt) },
+		"PowerGrad":  func() { PowerGrad(grad, dst, a, b, coeffs) },
 		"GemmTA":     func() { GemmTA(dstTA, a, a) },
 		"GemmTB":     func() { GemmTB(dst, a, b) },
 		"MatVecInto": func() { MatVecInto(vm, dstTA, x) },

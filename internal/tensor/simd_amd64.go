@@ -19,6 +19,20 @@ func dotAVX2(x, y []float64) float64
 //go:noescape
 func gemmTAQuadAVX2(dst []float64, stride int, a0, a1, a2, a3, b0, b1, b2, b3 []float64)
 
+// gemmNarrowAVX computes dst = a·b for dense row-major a (rows x k) and
+// b (k x n), rows, k, n >= 1: the AVX path of GemmNarrow (exact_amd64.s).
+//
+//go:noescape
+func gemmNarrowAVX(dst, a, b []float64, rows, k, n int)
+
+// powerGradRowAVX adds one gradient row's power-loss terms to g, sample
+// after sample: the AVX path of PowerGrad's row pass (exact_amd64.s).
+// u must hold len(coeffs) rows of len(g) elements, s len(g) elements and
+// d an element every dstride for each sample.
+//
+//go:noescape
+func powerGradRowAVX(g, s, u, d []float64, dstride int, coeffs []float64)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA.
 // The probe is stable for the life of the machine — same class of
 // environment fact as GOMAXPROCS, not ambient nondeterminism.

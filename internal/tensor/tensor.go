@@ -252,23 +252,6 @@ func (m *Matrix) ColAbsSums() []float64 {
 	return out
 }
 
-// ColAbsSumsInto writes the per-column 1-norms into dst without
-// allocating; bit-identical to ColAbsSums. It panics if len(dst) != Cols().
-func (m *Matrix) ColAbsSumsInto(dst []float64) {
-	if len(dst) != m.cols {
-		panic(fmt.Sprintf("tensor: ColAbsSumsInto length %d, want %d", len(dst), m.cols))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			dst[j] += math.Abs(v)
-		}
-	}
-}
-
 // MaxAbs returns the largest absolute value in m, or 0 for an empty matrix.
 func (m *Matrix) MaxAbs() float64 {
 	var best float64
