@@ -528,6 +528,23 @@ func BenchmarkCrossbarPowerFusedDense(b *testing.B) {
 	}
 }
 
+// BenchmarkCrossbarPowerFusedRemainder measures the serving kernel on
+// the dense batches that do not fill a group: one to seven CIFAR-like
+// rows through one fused ForwardPowerBatch on the 10×3072 array, the
+// sizes a batch leaves after its last full group.
+func BenchmarkCrossbarPowerFusedRemainder(b *testing.B) {
+	hw, us := denseVictim(b)
+	for n := 1; n <= 7; n++ {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := hw.ForwardPowerBatch(us[:n]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkReadF64Rows measures decoding the heavy session batch's
 // binary body, 64 CIFAR-like rows of 3072 values (1.5 MB), as the server
 // reads it.
@@ -621,54 +638,6 @@ func BenchmarkGemmTB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.GemmTB(s, u, w)
-	}
-}
-
-// BenchmarkGemmNarrow measures the exact forward kernel at the surrogate
-// training step's shape: a 32-sample mini-batch of 784 inputs against
-// [Wᵀ | ‖W_:,j‖₁] for 10 outputs, 11 columns.
-func BenchmarkGemmNarrow(b *testing.B) {
-	src := rng.New(1)
-	u := tensor.New(32, 784)
-	bt := tensor.New(784, 11)
-	s := tensor.New(32, 11)
-	for _, m := range []*tensor.Matrix{u, bt} {
-		d := m.Data()
-		for i := range d {
-			d[i] = src.Uniform(-1, 1)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.GemmNarrow(s, u, bt)
-	}
-}
-
-// BenchmarkPowerGrad measures the exact power-loss gradient kernel at the
-// surrogate training step's shape: a 10 x 784 gradient over 32 samples.
-func BenchmarkPowerGrad(b *testing.B) {
-	src := rng.New(3)
-	g := tensor.New(10, 784)
-	d := tensor.New(32, 10)
-	u := tensor.New(32, 784)
-	sgn := tensor.New(10, 784)
-	coeffs := make([]float64, 32)
-	for _, m := range []*tensor.Matrix{d, u} {
-		dd := m.Data()
-		for i := range dd {
-			dd[i] = src.Uniform(-1, 1)
-		}
-	}
-	sd := sgn.Data()
-	for i := range sd {
-		sd[i] = float64(i%3 - 1)
-	}
-	for i := range coeffs {
-		coeffs[i] = src.Uniform(-0.01, 0.01)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.PowerGrad(g, d, u, sgn, coeffs)
 	}
 }
 

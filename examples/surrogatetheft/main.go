@@ -20,7 +20,6 @@ import (
 	"xbarsec/internal/oracle"
 	"xbarsec/internal/rng"
 	"xbarsec/internal/surrogate"
-	"xbarsec/internal/tensor"
 )
 
 func main() {
@@ -64,7 +63,7 @@ func main() {
 		surAcc = model.Accuracy(test.X, test.Labels)
 		correct := 0
 		for i := 0; i < test.Len(); i++ {
-			adv, err := attack.FGSM(model.Net, tensor.CloneVec(test.X.Row(i)), oh.Row(i), 0.1)
+			adv, err := attack.FGSM(model.Net, test.X.Row(i), oh.Row(i), 0.1)
 			if err != nil {
 				log.Fatal(err)
 			}

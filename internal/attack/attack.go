@@ -28,8 +28,11 @@ type GradientSource interface {
 var _ GradientSource = (*nn.Network)(nil)
 
 // FGSM returns the fast gradient sign perturbation u' = u + ε·sgn(∇uL),
-// Eq. (2) of the paper. The input is not clipped, matching the paper's
-// unconstrained attack-strength sweeps.
+// Eq. (2) of the paper, in a new slice. It neither keeps nor modifies u,
+// so callers may pass a row of a shared dataset; g's InputGradient must
+// not modify it either (nn.Network's and nn.MLP's do not). The input is
+// not clipped, matching the paper's unconstrained attack-strength
+// sweeps.
 func FGSM(g GradientSource, u, target []float64, eps float64) ([]float64, error) {
 	if eps < 0 {
 		return nil, fmt.Errorf("attack: negative attack strength %v", eps)

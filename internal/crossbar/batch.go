@@ -72,30 +72,35 @@ func (x *Crossbar) effective() {
 //
 //xbar:hotpath
 func (x *Crossbar) columnWalk(u, out []float64) (total float64, ok bool) {
-	nz := -1
-	for j, uj := range u {
-		if uj != 0 {
-			if nz >= 0 {
-				return 0, false
-			}
-			nz = j
-		}
+	// Two scans, for the first nonzero and then for a second. A single
+	// loop with a state variable computes the same, but read the
+	// attack-jobs light op (784 one-row basis reads per extraction) 5–8%
+	// slower in alternating xbarbench runs, a gap that may come from
+	// where the loop lands in the binary rather than from the loop.
+	nz := 0
+	for nz < len(u) && u[nz] == 0 {
+		nz++
 	}
-	if nz < 0 {
+	if nz == len(u) {
 		clear(out)
 		return 0, true
+	}
+	for _, uj := range u[nz+1:] {
+		if uj != 0 {
+			return 0, false
+		}
 	}
 	uj, vdd := u[nz], x.cfg.Vdd
 	for i := range out {
 		var s float64
-		s += x.effDiff.Row(i)[nz] * uj * vdd
+		s += float64(x.effDiff.Row(i)[nz] * uj * vdd)
 		out[i] = s
 	}
 	for i := 0; i < x.rows; i++ {
-		total += x.effSum.Row(i)[nz] * uj * vdd
+		total += float64(x.effSum.Row(i)[nz] * uj * vdd)
 	}
 	if x.effMask != nil {
-		total += x.effMask[nz] * uj * vdd
+		total += float64(x.effMask[nz] * uj * vdd)
 	}
 	return total, true
 }
@@ -181,13 +186,14 @@ func (n *Network) Noisy() bool { return n.xbar.Noisy() }
 // fused power-measuring serving cheaper than per-call Forward-then-Power
 // reads. An input with at most one nonzero (a basis query) skips the
 // sweep for the column walk TotalCurrent also takes (columnWalk); the
-// other inputs are swept four at a time, in batch order, by sweep4, and
-// a last one to three by sweep. Each accumulator keeps the exact
-// operation order of its scalar counterpart, so results are
-// bit-identical to calling OutputCurrents then TotalCurrent once per
-// input; for a noisy array that sequential pair IS the implementation
-// (two reads per input, in that order), preserving the noise-stream
-// consumption order of the scalar query path.
+// other inputs are read eight at a time, in batch order, by
+// tensor.FusedSweep, a last two to seven likewise, and a last one by
+// sweep. Each accumulator keeps the exact operation order of its scalar
+// counterpart, so results are bit-identical to calling OutputCurrents
+// then TotalCurrent once per input; for a noisy array that sequential
+// pair IS the implementation (two reads per input, in that order),
+// preserving the noise-stream consumption order of the scalar query
+// path.
 //
 //xbar:hotpath
 func (x *Crossbar) OutputTotalCurrentBatch(us [][]float64) ([][]float64, []float64, error) {
@@ -212,8 +218,8 @@ func (x *Crossbar) OutputTotalCurrentBatch(us [][]float64) ([][]float64, []float
 	}
 	x.effective()
 	slab := make([]float64, len(us)*x.rows)
-	var dense [4]int // batch indices of the inputs awaiting sweep4
-	n := 0
+	var group [tensor.FusedSweepLanes]int // batch indices of the inputs awaiting FusedSweep
+	g := 0
 	for b, u := range us {
 		out := slab[b*x.rows : (b+1)*x.rows : (b+1)*x.rows]
 		outs[b] = out
@@ -222,67 +228,42 @@ func (x *Crossbar) OutputTotalCurrentBatch(us [][]float64) ([][]float64, []float
 			totals[b] = total
 			continue
 		}
-		dense[n] = b
-		if n++; n == len(dense) {
-			x.sweep4(us, outs, totals, &dense)
-			n = 0
+		group[g] = b
+		if g++; g == len(group) {
+			x.sweepGroup(us, outs, totals, group[:])
+			g = 0
 		}
 	}
-	for _, b := range dense[:n] {
+	// A last lone input takes sweep: in AVX lanes FusedSweep makes a full
+	// pass for it, about 30% slower than sweep at the serving shape,
+	// while two or more inputs share that pass for less than the cost of
+	// two sweeps (BenchmarkCrossbarPowerFusedRemainder).
+	switch g {
+	case 0:
+	case 1:
+		b := group[0]
 		totals[b] = x.sweep(us[b], outs[b])
+	default:
+		x.sweepGroup(us, outs, totals, group[:g])
 	}
 	return outs, totals, nil
 }
 
-// sweep4 is sweep for the four noise-free inputs us[g[0]], …, us[g[3]]
-// in one pass over each pair of conductance rows: eight accumulators,
-// each input's output-row chain and its total chain, each adding the
-// same d·u·Vdd terms in sweep's order, the masking row's last. It writes
-// outs[g[k]] and totals[g[k]]. Unlike sweep it does not skip zero
-// inputs: every chain starts at +0 and can never reach −0 (a sum is −0
-// only when both addends are), so a ±0 term leaves it bit-identical,
-// while four independent chains per row replace sweep's one
-// latency-bound total.
+// sweepGroup reads the noise-free inputs us[b] for b in group (one to
+// eight) with tensor.FusedSweep, writing outs[b] and totals[b].
 //
 //xbar:hotpath
-func (x *Crossbar) sweep4(us, outs [][]float64, totals []float64, g *[4]int) {
-	vdd := x.cfg.Vdd
-	u0, u1, u2, u3 := us[g[0]], us[g[1]], us[g[2]], us[g[3]]
-	n := len(u0)
-	u1, u2, u3 = u1[:n], u2[:n], u3[:n]
-	o0, o1, o2, o3 := outs[g[0]], outs[g[1]], outs[g[2]], outs[g[3]]
-	var t0, t1, t2, t3 float64
-	for i := 0; i < x.rows; i++ {
-		dRow := x.effDiff.Row(i)[:n]
-		sRow := x.effSum.Row(i)[:n]
-		var c0, c1, c2, c3 float64
-		for j, a := range u0 {
-			d, s := dRow[j], sRow[j]
-			c0 += d * a * vdd
-			t0 += s * a * vdd
-			a = u1[j]
-			c1 += d * a * vdd
-			t1 += s * a * vdd
-			a = u2[j]
-			c2 += d * a * vdd
-			t2 += s * a * vdd
-			a = u3[j]
-			c3 += d * a * vdd
-			t3 += s * a * vdd
-		}
-		o0[i], o1[i], o2[i], o3[i] = c0, c1, c2, c3
+func (x *Crossbar) sweepGroup(us, outs [][]float64, totals []float64, group []int) {
+	var in, out [tensor.FusedSweepLanes][]float64
+	var tot [tensor.FusedSweepLanes]float64
+	for k, b := range group {
+		in[k], out[k] = us[b], outs[b]
 	}
-	if x.effMask != nil {
-		mask := x.effMask[:n]
-		for j, a := range u0 {
-			m := mask[j]
-			t0 += m * a * vdd
-			t1 += m * u1[j] * vdd
-			t2 += m * u2[j] * vdd
-			t3 += m * u3[j] * vdd
-		}
+	k := len(group)
+	tensor.FusedSweep(out[:k], tot[:k], in[:k], x.effDiff, x.effSum, x.effMask, x.cfg.Vdd)
+	for k, b := range group {
+		totals[b] = tot[k]
 	}
-	totals[g[0]], totals[g[1]], totals[g[2]], totals[g[3]] = t0, t1, t2, t3
 }
 
 // sweep is the fused kernel's general pass for one noise-free input:
@@ -302,8 +283,8 @@ func (x *Crossbar) sweep(u, out []float64) float64 {
 			if uj == 0 {
 				continue
 			}
-			s += dRow[j] * uj * vdd
-			total += sRow[j] * uj * vdd
+			s += float64(dRow[j] * uj * vdd)
+			total += float64(sRow[j] * uj * vdd)
 		}
 		out[i] = s
 	}
@@ -313,7 +294,7 @@ func (x *Crossbar) sweep(u, out []float64) float64 {
 			if uj == 0 {
 				continue
 			}
-			total += mask[j] * uj * vdd
+			total += float64(mask[j] * uj * vdd)
 		}
 	}
 	return total

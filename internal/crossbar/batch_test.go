@@ -10,16 +10,17 @@ import (
 )
 
 // batchTestWeights returns a small weight matrix with mixed signs, zeros
-// and magnitude spread, plus a batch of inputs: eleven dense ones, so
-// the fused kernel sweeps them in groups of four and the prefixes of the
-// batch leave every tail of 0 to 3, with an all-zero vector and three
-// one-hot vectors (the basis queries the column walk serves) between
-// them, so a group spans walked inputs. Dense entries are +0, −0,
-// negative or positive: the sweep skips both zeros, the grouped sweep
-// adds them as ±0 terms. The one-hot nonzeros sit at the first, a middle
-// and the last column, valued 1, 0.37 and −0.5; the negative one turns
-// every zero effective conductance into a −0 term, which the general
-// sweep's +0 accumulator reads as +0.
+// and magnitude spread, plus a batch of inputs: nineteen dense ones, so
+// the fused kernel reads them in groups of eight and the prefixes of the
+// batch make two full groups and leave every remainder of 0 to 7, with
+// an all-zero vector and four one-hot vectors (the basis queries the
+// column walk serves) between them, so a group spans walked inputs.
+// Dense entries are +0, −0, negative or positive: the sweep skips both
+// zeros, the grouped read adds them as ±0 terms. The one-hot nonzeros
+// sit at the first, the second, a middle and the last column, valued 1,
+// 0.8, 0.37 and −0.5; the negative one turns every zero effective
+// conductance into a −0 term, which the general sweep's +0 accumulator
+// reads as +0.
 func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64) {
 	t.Helper()
 	src := rng.New(11)
@@ -34,7 +35,7 @@ func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64
 			}
 		}
 	}
-	dense := make([][]float64, 11)
+	dense := make([][]float64, 19)
 	for b := range dense {
 		u := make([]float64, cols)
 		for j := range u {
@@ -60,7 +61,9 @@ func batchTestWeights(t *testing.T, rows, cols int) (*tensor.Matrix, [][]float64
 		dense[0], dense[1], make([]float64, cols), dense[2],
 		oneHot(0, 1), dense[3], dense[4], oneHot(cols/2, 0.37),
 		dense[5], dense[6], dense[7], dense[8],
-		oneHot(cols-1, -0.5), dense[9], dense[10],
+		oneHot(cols-1, -0.5), dense[9], dense[10], dense[11],
+		dense[12], dense[13], oneHot(1, 0.8), dense[14], dense[15],
+		dense[16], dense[17], dense[18],
 	}
 }
 

@@ -190,7 +190,7 @@ func Program(w *tensor.Matrix, cfg DeviceConfig, src *rng.Source) (*Crossbar, er
 	for i := 0; i < m; i++ {
 		wrow := w.Row(i)
 		for j, wij := range wrow {
-			on := cfg.GOff + math.Abs(wij)*scale
+			on := cfg.GOff + float64(math.Abs(wij)*scale)
 			on = quantize(on, cfg)
 			if cfg.ProgramNoiseStd > 0 {
 				on *= 1 + progSrc.Normal(0, cfg.ProgramNoiseStd)
@@ -248,7 +248,7 @@ func quantize(g float64, cfg DeviceConfig) float64 {
 	}
 	step := (cfg.GOn - cfg.GOff) / float64(cfg.Levels-1)
 	k := math.Round((g - cfg.GOff) / step)
-	return cfg.GOff + k*step
+	return cfg.GOff + float64(k*step)
 }
 
 func clampConductance(g float64, cfg DeviceConfig) float64 {
@@ -326,7 +326,7 @@ func (x *Crossbar) OutputCurrents(u []float64) ([]float64, error) {
 				if uj == 0 {
 					continue
 				}
-				s += dRow[j] * uj * x.cfg.Vdd
+				s += float64(dRow[j] * uj * x.cfg.Vdd)
 			}
 			out[i] = s
 		}
@@ -350,7 +350,7 @@ func (x *Crossbar) OutputCurrents(u []float64) ([]float64, error) {
 			if gm < 0 {
 				gm = 0
 			}
-			s += (gp - gm) * uj * x.cfg.Vdd
+			s += float64((gp - gm) * uj * x.cfg.Vdd)
 		}
 		out[i] = s
 	}
@@ -393,7 +393,7 @@ func (x *Crossbar) TotalCurrent(u []float64) (float64, error) {
 				if uj == 0 {
 					continue
 				}
-				total += sRow[j] * uj * x.cfg.Vdd
+				total += float64(sRow[j] * uj * x.cfg.Vdd)
 			}
 		}
 		if x.effMask != nil {
@@ -401,7 +401,7 @@ func (x *Crossbar) TotalCurrent(u []float64) (float64, error) {
 				if uj == 0 {
 					continue
 				}
-				total += x.effMask[j] * uj * x.cfg.Vdd
+				total += float64(x.effMask[j] * uj * x.cfg.Vdd)
 			}
 		}
 		return total, nil
@@ -423,7 +423,7 @@ func (x *Crossbar) TotalCurrent(u []float64) (float64, error) {
 			if gm < 0 {
 				gm = 0
 			}
-			total += (gp + gm) * uj * x.cfg.Vdd
+			total += float64((gp + gm) * uj * x.cfg.Vdd)
 		}
 	}
 	if x.mask != nil {
@@ -434,7 +434,7 @@ func (x *Crossbar) TotalCurrent(u []float64) (float64, error) {
 			if g < 0 {
 				g = 0
 			}
-			total += g * uj * x.cfg.Vdd
+			total += float64(g * uj * x.cfg.Vdd)
 		}
 	}
 	return total, nil

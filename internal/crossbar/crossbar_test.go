@@ -170,7 +170,7 @@ func TestGOffOffsetUniform(t *testing.T) {
 	}
 	sums := xb.ColumnConductanceSums()
 	norms := w.ColAbsSums()
-	offset := 2 * float64(7) * cfg.GOff
+	offset := float64(2 * float64(7) * cfg.GOff)
 	for j := range sums {
 		reconstructed := (sums[j] - offset) / xb.Scale()
 		if math.Abs(reconstructed-norms[j]) > 1e-9 {
@@ -208,7 +208,7 @@ func TestQuantizationLimitsPrecision(t *testing.T) {
 	step := (cfg.GOn - cfg.GOff) / float64(cfg.Levels-1) / xb.Scale()
 	diff := eff.Clone()
 	diff.SubMatrix(w)
-	if diff.MaxAbs() > step/2+1e-9 {
+	if diff.MaxAbs() > float64(step/2)+1e-9 {
 		t.Fatalf("quantization error %v exceeds half step %v", diff.MaxAbs(), step/2)
 	}
 }

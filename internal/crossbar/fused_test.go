@@ -20,13 +20,13 @@ func sweepTotal(x *Crossbar, u []float64) float64 {
 	for i := 0; i < x.rows; i++ {
 		for j, uj := range u {
 			if uj != 0 {
-				total += x.effSum.At(i, j) * uj * x.cfg.Vdd
+				total += float64(x.effSum.At(i, j) * uj * x.cfg.Vdd)
 			}
 		}
 	}
 	for j, uj := range u {
 		if uj != 0 && x.effMask != nil {
-			total += x.effMask[j] * uj * x.cfg.Vdd
+			total += float64(x.effMask[j] * uj * x.cfg.Vdd)
 		}
 	}
 	return total
@@ -40,8 +40,8 @@ func sweepTotal(x *Crossbar, u []float64) float64 {
 // the fused kernel's walked and grouped outputs are checked against the
 // general sweep; on a noise-free array every total is also checked
 // against sweepTotal. The fused kernel reads every prefix of us, each on
-// a fresh twin, so each way a batch splits into groups of four and a
-// tail is checked.
+// a fresh twin, so each way a batch splits into groups of eight and a
+// remainder is checked.
 func checkFusedMatches(t *testing.T, program func() *Crossbar, us [][]float64) {
 	t.Helper()
 	if ref := program(); !ref.Noisy() {

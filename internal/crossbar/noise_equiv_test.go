@@ -38,7 +38,7 @@ func newNoisyReference(t *testing.T, w *tensor.Matrix, cfg DeviceConfig, seed in
 	ref := &noisyReference{gp: tensor.New(m, n), gm: tensor.New(m, n), cfg: cfg}
 	for i := 0; i < m; i++ {
 		for j, wij := range w.Row(i) {
-			on := cfg.GOff + math.Abs(wij)*scale
+			on := cfg.GOff + float64(math.Abs(wij)*scale)
 			if on > cfg.GOn {
 				on = cfg.GOn
 			}
@@ -95,7 +95,7 @@ func (ref *noisyReference) outputCurrents(u []float64) []float64 {
 		for j, uj := range u {
 			gp := ref.read(ref.gp.At(i, j), i, j)
 			gm := ref.read(ref.gm.At(i, j), i, j)
-			s += (gp - gm) * uj * ref.cfg.Vdd
+			s += float64((gp - gm) * uj * ref.cfg.Vdd)
 		}
 		out[i] = s
 	}
@@ -109,12 +109,12 @@ func (ref *noisyReference) totalCurrent(u []float64) float64 {
 		for j, uj := range u {
 			gp := ref.read(ref.gp.At(i, j), i, j)
 			gm := ref.read(ref.gm.At(i, j), i, j)
-			total += (gp + gm) * uj * ref.cfg.Vdd
+			total += float64((gp + gm) * uj * ref.cfg.Vdd)
 		}
 	}
 	if ref.mask != nil {
 		for j, uj := range u {
-			total += ref.read(ref.mask[j], m, j) * uj * ref.cfg.Vdd
+			total += float64(ref.read(ref.mask[j], m, j) * uj * ref.cfg.Vdd)
 		}
 	}
 	return total

@@ -17,7 +17,6 @@ import (
 	"xbarsec/internal/rng"
 	"xbarsec/internal/stats"
 	"xbarsec/internal/surrogate"
-	"xbarsec/internal/tensor"
 )
 
 // fig5AttackEps is the FGSM strength the paper uses for Figure 5.
@@ -305,7 +304,7 @@ func oracleFGSMAccuracy(v *victim, model *surrogate.Model, workers int) (float64
 	oh := ds.OneHot()
 	advs := make([][]float64, ds.Len())
 	err := pool.DoErr(workers, ds.Len(), func(i int) error {
-		adv, err := attack.FGSM(model.Net, tensor.CloneVec(ds.X.Row(i)), oh.Row(i), fig5AttackEps)
+		adv, err := attack.FGSM(model.Net, ds.X.Row(i), oh.Row(i), fig5AttackEps)
 		if err != nil {
 			return err
 		}

@@ -74,7 +74,7 @@ func (s *Source) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*s.r.Float
 
 // Normal returns a normally distributed value with the given mean and
 // standard deviation.
-func (s *Source) Normal(mean, std float64) float64 { return mean + std*s.r.NormFloat64() }
+func (s *Source) Normal(mean, std float64) float64 { return mean + float64(std*s.r.NormFloat64()) }
 
 // Intn returns a uniform integer in [0,n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
@@ -100,7 +100,7 @@ func (s *Source) NormalVec(n int, mean, std float64) []float64 {
 // consumption order and every value are identical.
 func (s *Source) FillNormal(dst []float64, mean, std float64) {
 	for i := range dst {
-		dst[i] = mean + std*s.r.NormFloat64()
+		dst[i] = mean + float64(std*s.r.NormFloat64())
 	}
 }
 

@@ -175,7 +175,7 @@ func (s *Service) runCampaign(spec CampaignSpec, v *Victim) (*CampaignResult, er
 	oh := v.test.OneHot()
 	advs := make([][]float64, v.test.Len())
 	err = pool.DoErr(s.cfg.Workers, v.test.Len(), func(i int) error {
-		adv, err := attack.FGSM(model.Net, tensor.CloneVec(v.test.X.Row(i)), oh.Row(i), spec.AttackEps)
+		adv, err := attack.FGSM(model.Net, v.test.X.Row(i), oh.Row(i), spec.AttackEps)
 		if err != nil {
 			return err
 		}
@@ -272,10 +272,13 @@ type ExtractResult = api.ExtractResult
 // probeMeter adapts a victim's guarded reads to the
 // sidechannel.PowerMeter interface so extraction jobs read the array
 // the way sessions do: each probe reading is a fused read of one row.
-// A basis row drives one input, so on a noise-free array the fused
-// kernel walks that one column instead of sweeping every device. Power
-// neither keeps nor modifies u, as the interface requires: the probe
-// reuses one basis vector across an extraction's reads.
+// The one-row batch stays on the stack, since neither the read guard nor
+// the kernel keeps it, so a reading allocates only what the kernel does
+// (TestProbeReadAllocsMatchKernel). A basis row drives one input, so on
+// a noise-free array the fused kernel walks that one column instead of
+// sweeping every device. Power neither keeps nor modifies u, as the
+// interface requires: the probe reuses one basis vector across an
+// extraction's reads.
 type probeMeter struct{ h victimHW }
 
 func (m probeMeter) Power(u []float64) (float64, error) {

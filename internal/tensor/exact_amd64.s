@@ -406,3 +406,197 @@ singlenext:
 done:
 	VZEROUPPER
 	RET
+
+// The terms of one column, c bytes past column j (CX), lo and hi
+// holding its inputs 0-3 and 4-7: the output chains Y0 (inputs 0-3) and
+// Y1 (4-7) add (diff_ij·u)·vdd with diff_ij at c(BX)(CX*8), and the
+// total chains Y2 and Y3 add (sum_ij·u)·vdd with sum_ij at c(R8)(CX*8).
+// Each product is rounded before the next step. MCOL is the mask row's
+// column, mask_j at c(R8)(CX*8), on the total chains only.
+#define COL(c, lo, hi) \
+	VBROADCASTSD c(BX)(CX*8), Y12; \
+	VBROADCASTSD c(R8)(CX*8), Y13; \
+	VMULPD       lo, Y12, Y14;     \
+	VMULPD       Y15, Y14, Y14;    \
+	VADDPD       Y14, Y0, Y0;      \
+	VMULPD       hi, Y12, Y14;     \
+	VMULPD       Y15, Y14, Y14;    \
+	VADDPD       Y14, Y1, Y1;      \
+	VMULPD       lo, Y13, Y14;     \
+	VMULPD       Y15, Y14, Y14;    \
+	VADDPD       Y14, Y2, Y2;      \
+	VMULPD       hi, Y13, Y14;     \
+	VMULPD       Y15, Y14, Y14;    \
+	VADDPD       Y14, Y3, Y3
+
+#define MCOL(c, lo, hi) \
+	VBROADCASTSD c(R8)(CX*8), Y13; \
+	VMULPD       lo, Y13, Y14;     \
+	VMULPD       Y15, Y14, Y14;    \
+	VADDPD       Y14, Y2, Y2;      \
+	VMULPD       hi, Y13, Y14;     \
+	VMULPD       Y15, Y14, Y14;    \
+	VADDPD       Y14, Y3, Y3
+
+// Loads columns j..j+3 (CX) of the eight inputs whose slice headers make
+// up the table at SI and transposes them into one vector per column,
+// lane k being input k: inputs 0-3 of columns j..j+3 land in Y4, Y5, Y6
+// and Y7, inputs 4-7 in Y10, Y11, Y8 and Y9.
+#define LOAD8T \
+	MOVQ       0(SI), AX;          \
+	MOVQ       24(SI), R11;        \
+	MOVQ       48(SI), R12;        \
+	MOVQ       72(SI), R13;        \
+	VMOVUPD    (AX)(CX*8), Y4;     \
+	VMOVUPD    (R11)(CX*8), Y5;    \
+	VMOVUPD    (R12)(CX*8), Y6;    \
+	VMOVUPD    (R13)(CX*8), Y7;    \
+	VUNPCKLPD  Y5, Y4, Y8;         \
+	VUNPCKHPD  Y5, Y4, Y9;         \
+	VUNPCKLPD  Y7, Y6, Y10;        \
+	VUNPCKHPD  Y7, Y6, Y11;        \
+	VPERM2F128 $0x20, Y10, Y8, Y4; \
+	VPERM2F128 $0x20, Y11, Y9, Y5; \
+	VPERM2F128 $0x31, Y10, Y8, Y6; \
+	VPERM2F128 $0x31, Y11, Y9, Y7; \
+	MOVQ       96(SI), AX;         \
+	MOVQ       120(SI), R11;       \
+	MOVQ       144(SI), R12;       \
+	MOVQ       168(SI), R13;       \
+	VMOVUPD    (AX)(CX*8), Y8;     \
+	VMOVUPD    (R11)(CX*8), Y9;    \
+	VMOVUPD    (R12)(CX*8), Y10;   \
+	VMOVUPD    (R13)(CX*8), Y11;   \
+	VUNPCKLPD  Y9, Y8, Y12;        \
+	VUNPCKHPD  Y9, Y8, Y13;        \
+	VUNPCKLPD  Y11, Y10, Y8;       \
+	VUNPCKHPD  Y11, Y10, Y9;       \
+	VPERM2F128 $0x20, Y8, Y12, Y10; \
+	VPERM2F128 $0x20, Y9, Y13, Y11; \
+	VPERM2F128 $0x31, Y8, Y12, Y8;  \
+	VPERM2F128 $0x31, Y9, Y13, Y9
+
+// Loads column j (CX) of the four inputs at o0..o3 bytes into the table
+// at SI into y, lane k being the k-th of them; xa is y's low half and xb
+// a scratch register.
+#define GATHER4(o0, o1, o2, o3, xa, xb, y) \
+	MOVQ        o0(SI), AX;         \
+	VMOVSD      (AX)(CX*8), xa;     \
+	MOVQ        o1(SI), AX;         \
+	VMOVHPD     (AX)(CX*8), xa, xa; \
+	MOVQ        o2(SI), AX;         \
+	VMOVSD      (AX)(CX*8), xb;     \
+	MOVQ        o3(SI), AX;         \
+	VMOVHPD     (AX)(CX*8), xb, xb; \
+	VINSERTF128 $1, xb, y, y
+
+// Stores the four lanes of y (low half x) to element R9 of the output
+// slices whose headers sit at o0..o3 bytes into the table at DI.
+#define STORE4(o0, o1, o2, o3, x, y) \
+	MOVQ         o0(DI), AX;         \
+	VMOVSD       x, (AX)(R9*8);      \
+	MOVQ         o1(DI), AX;         \
+	VMOVHPD      x, (AX)(R9*8);      \
+	VEXTRACTF128 $1, y, X8;          \
+	MOVQ         o2(DI), AX;         \
+	VMOVSD       X8, (AX)(R9*8);     \
+	MOVQ         o3(DI), AX;         \
+	VMOVHPD      X8, (AX)(R9*8)
+
+// func fusedSweepAVX(outs, us *[8][]float64, totals *[8]float64, diff, sum, mask []float64, rows, cols int, vdd float64)
+//
+// The crossbar read for eight inputs at once, lane k of a vector being
+// input us[k]: diff and sum are dense rows x cols, rows, cols >= 1, each
+// input holds cols elements and each output at least rows, and mask is
+// empty or holds cols elements. For each row i the output chains start
+// at +0 and add (diff_ij·u_j)·vdd for j = 0, 1, ...; the total chains
+// start at +0 once and add (sum_ij·u_j)·vdd in the same order, row after
+// row, then (mask_j·u_j)·vdd. Row i's outputs go to outs[k][i], the
+// totals to totals[k]. Four columns at a time are loaded from each input
+// and transposed into one vector per column and four inputs; the last
+// cols mod 4 columns are gathered one at a time.
+//
+// Registers: SI the input table, DI the output table, BX and R8 diff and
+// sum at row i (R8 the mask in the mask pass), CX the column j, DX cols
+// rounded down to four, R9 the row i, AX R11 R12 R13 input pointers,
+// Y0 Y1 row i's output chains (inputs 0-3, 4-7), Y2 Y3 the total chains,
+// Y4-Y11 input columns, Y12 Y13 broadcast conductances, Y14 a product,
+// Y15 vdd.
+TEXT ·fusedSweepAVX(SB), NOSPLIT, $0-120
+	MOVQ         outs+0(FP), DI
+	MOVQ         us+8(FP), SI
+	MOVQ         diff_base+24(FP), BX
+	MOVQ         sum_base+48(FP), R8
+	MOVQ         cols+104(FP), DX
+	ANDQ         $-4, DX
+	VBROADCASTSD vdd+112(FP), Y15
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	XORQ         R9, R9
+
+row:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   CX, CX
+
+rowquad:
+	CMPQ CX, DX
+	JGE  rowtail
+	LOAD8T
+	COL(0, Y4, Y10)
+	COL(8, Y5, Y11)
+	COL(16, Y6, Y8)
+	COL(24, Y7, Y9)
+	ADDQ $4, CX
+	JMP  rowquad
+
+rowtail:
+	CMPQ    CX, cols+104(FP)
+	JGE     rowdone
+	GATHER4(0, 24, 48, 72, X4, X5, Y4)
+	GATHER4(96, 120, 144, 168, X10, X11, Y10)
+	COL(0, Y4, Y10)
+	INCQ    CX
+	JMP     rowtail
+
+rowdone:
+	STORE4(0, 24, 48, 72, X0, Y0)
+	STORE4(96, 120, 144, 168, X1, Y1)
+	MOVQ cols+104(FP), AX
+	LEAQ (BX)(AX*8), BX
+	LEAQ (R8)(AX*8), R8
+	INCQ R9
+	CMPQ R9, rows+96(FP)
+	JL   row
+
+	CMPQ mask_len+80(FP), $0
+	JE   done
+	MOVQ mask_base+72(FP), R8
+	XORQ CX, CX
+
+maskquad:
+	CMPQ CX, DX
+	JGE  masktail
+	LOAD8T
+	MCOL(0, Y4, Y10)
+	MCOL(8, Y5, Y11)
+	MCOL(16, Y6, Y8)
+	MCOL(24, Y7, Y9)
+	ADDQ $4, CX
+	JMP  maskquad
+
+masktail:
+	CMPQ    CX, cols+104(FP)
+	JGE     done
+	GATHER4(0, 24, 48, 72, X4, X5, Y4)
+	GATHER4(96, 120, 144, 168, X10, X11, Y10)
+	MCOL(0, Y4, Y10)
+	INCQ    CX
+	JMP     masktail
+
+done:
+	MOVQ    totals+16(FP), AX
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y3, 32(AX)
+	VZEROUPPER
+	RET

@@ -172,6 +172,12 @@ func TestGemmShapePanics(t *testing.T) {
 		"VecMatInto": func() { VecMatInto(make([]float64, 3), make([]float64, 4), a) },
 		"GemmNarrow": func() { GemmNarrow(New(2, 5), a, b) },
 		"PowerGrad":  func() { PowerGrad(New(3, 5), a, b, New(3, 5), make([]float64, 2)) },
+		"FusedSweep": func() {
+			FusedSweep([][]float64{make([]float64, 2)}, make([]float64, 1), [][]float64{make([]float64, 3)}, a, b, nil, 1)
+		},
+		"FusedSweep/input": func() {
+			FusedSweep([][]float64{make([]float64, 2)}, make([]float64, 1), [][]float64{make([]float64, 4)}, a, a, nil, 1)
+		},
 	} {
 		func() {
 			defer func() {
@@ -197,10 +203,15 @@ func TestKernelsAllocationFree(t *testing.T) {
 	gsg := New(16, 10)
 	grad := New(10, 300)
 	coeffs := make([]float64, 16)
+	us, outs, totals := make([][]float64, FusedSweepLanes), make([][]float64, FusedSweepLanes), make([]float64, FusedSweepLanes)
+	for k := range us {
+		us[k], outs[k] = a.Row(k), make([]float64, a.Rows())
+	}
 	for name, f := range map[string]func(){
 		"Gemm":       func() { Gemm(dst, a, bt) },
 		"GemmNarrow": func() { GemmNarrow(dst, a, bt) },
 		"PowerGrad":  func() { PowerGrad(grad, dst, a, b, coeffs) },
+		"FusedSweep": func() { FusedSweep(outs, totals, us, a, a, x, 0.2) },
 		"GemmTA":     func() { GemmTA(dstTA, a, a) },
 		"GemmTB":     func() { GemmTB(dst, a, b) },
 		"MatVecInto": func() { MatVecInto(vm, dstTA, x) },

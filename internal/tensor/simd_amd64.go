@@ -33,6 +33,14 @@ func gemmNarrowAVX(dst, a, b []float64, rows, k, n int)
 //go:noescape
 func powerGradRowAVX(g, s, u, d []float64, dstride int, coeffs []float64)
 
+// fusedSweepAVX reads the eight inputs us against dense rows x cols
+// conductances, rows, cols >= 1, writing input k's output row i to
+// outs[k][i] and its total to totals[k]: the AVX path of FusedSweep
+// (exact_amd64.s). mask is empty or holds cols elements.
+//
+//go:noescape
+func fusedSweepAVX(outs, us *[8][]float64, totals *[8]float64, diff, sum, mask []float64, rows, cols int, vdd float64)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA.
 // The probe is stable for the life of the machine — same class of
 // environment fact as GOMAXPROCS, not ambient nondeterminism.

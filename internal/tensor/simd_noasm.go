@@ -22,4 +22,8 @@ func powerGradRowAVX(g, s, u, d []float64, dstride int, coeffs []float64) {
 	panic("tensor: powerGradRowAVX without SIMD support")
 }
 
+func fusedSweepAVX(outs, us *[8][]float64, totals *[8]float64, diff, sum, mask []float64, rows, cols int, vdd float64) {
+	panic("tensor: fusedSweepAVX without SIMD support")
+}
+
 func archSIMD() bool { return false }
